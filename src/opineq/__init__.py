@@ -37,6 +37,7 @@ from .inequalities import (
     half_difference_reports,
     majorization_equiv,
     mixed_schwarz,
+    positivity_consistent,
     radius_upper_reports,
     schwarz_gram,
 )
@@ -55,7 +56,6 @@ from .linalg import (
     spectral_norm,
     split2,
     svd,
-    unit_vector,
 )
 from .matio import (
     dumps_matrix,

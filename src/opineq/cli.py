@@ -12,37 +12,31 @@ import sys
 from pathlib import Path
 
 from .conjecture import conjecture_search, half_diff_slack
-from .ensembles import KINDS, EnsembleSpec
+from .ensembles import KINDS, EnsembleSpec, trial_rng
 from .errors import OpineqError
-from .fuzz import SUITE_NAMES, run_suites
-from .inequalities import (
-    aluthge_bound_reports,
-    beta_chain_reports,
-    block_positivity,
-    half_difference_reports,
-    mixed_schwarz,
-    radius_upper_reports,
-)
-from .linalg import spectral_norm
+from .fuzz import MATRIX_SUITE_NAMES, SUITE_NAMES, SUITES, run_suites
+from .inequalities import block_positivity, positivity_consistent
 from .matio import complex_to_str, dumps_matrix, load_matrix
 from .radius import SweepConfig, numerical_radius
 from .reporting import render_table, reports_json, reports_table
-from .tables import TABLE_TOL, reproduce_tables
-
-# Suites of `bounds` take one square matrix; block-input suites run under
-# `fuzz` or `positivity` instead.
-SINGLE_MATRIX_SUITES = ("half-diff", "implicit", "beta-chain", "aluthge", "mixed-schwarz")
-
-MIXED_ALPHAS = tuple(0.25 * k for k in range(9))
+from .tables import HALF_DIFF_ROWS, TABLE_TOL, reproduce_tables
 
 
 def _sweep_config(args) -> SweepConfig:
     kwargs = {}
-    if getattr(args, "grid", None):
+    if args.grid is not None:
         kwargs["grid_points"] = args.grid
-    if getattr(args, "tol", None):
+    if args.tol is not None:
         kwargs["tol"] = args.tol
     return SweepConfig(**kwargs)
+
+
+def _suite_list(text: str) -> list[str]:
+    """Parse a comma-separated --suite value; naming no suite is an error."""
+    suites = [s.strip() for s in text.split(",") if s.strip()]
+    if not suites:
+        raise argparse.ArgumentTypeError("no suite named")
+    return suites
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -66,35 +60,16 @@ def cmd_radius(args) -> int:
 def cmd_bounds(args) -> int:
     T = load_matrix(args.matrix)
     cfg = _sweep_config(args)
-    suites = [s.strip() for s in args.suite.split(",") if s.strip()]
-    for s in suites:
-        if s not in SINGLE_MATRIX_SUITES:
+    for s in args.suite:
+        if s not in MATRIX_SUITE_NAMES:
             raise OpineqError(
-                f"suite {s!r} is not available here; choose from {SINGLE_MATRIX_SUITES}"
+                f"suite {s!r} is not available here; choose from {MATRIX_SUITE_NAMES}"
                 " (block-input suites run under `fuzz`)"
             )
     reports = []
-    for s in suites:
-        if s == "half-diff":
-            reports += half_difference_reports(T, cfg)
-        elif s == "implicit":
-            reports += radius_upper_reports(T, cfg)
-        elif s == "beta-chain":
-            reports += beta_chain_reports(T, cfg)
-        elif s == "aluthge":
-            reports += aluthge_bound_reports(T, cfg)
-        elif s == "mixed-schwarz":
-            from .ensembles import trial_rng
-
-            rng = trial_rng(args.seed, 0)
-            n = T.shape[1]
-            x = rng.normal(size=n) + 1j * rng.normal(size=n)
-            y = rng.normal(size=T.shape[0]) + 1j * rng.normal(size=T.shape[0])
-            import numpy as np
-
-            x /= np.linalg.norm(x)
-            y /= np.linalg.norm(y)
-            reports += [mixed_schwarz(T, x, y, a) for a in MIXED_ALPHAS]
+    for s in args.suite:
+        # every suite that samples vectors draws them from stream (seed, 0)
+        reports += SUITES[s].on_matrix(T, trial_rng(args.seed, 0), cfg)
     if args.format == "json":
         _emit(reports_json(reports) + "\n", args.out)
     else:
@@ -145,20 +120,10 @@ def cmd_positivity(args) -> int:
         ("sampled_pairs", verdict.sampled_pairs),
     ]
     _emit(render_table(("quantity", "value"), rows, args.format), args.out)
-    # The two characterizations must agree: PSD blocks keep the ratio at or
-    # below 1; non-PSD blocks must be caught by the ratio or the Schur route.
-    tol_psd = 1e-9 * (1.0 + max(spectral_norm(A), spectral_norm(B)))
-    if verdict.is_psd:
-        consistent = verdict.condition_ii_max_ratio <= 1.0 + 1e-6
-    else:
-        consistent = (
-            verdict.condition_ii_max_ratio > 1.0 or verdict.schur_residual < -tol_psd
-        )
-    return 0 if consistent else 1
+    return 0 if positivity_consistent(verdict, A, B) else 1
 
 
 def cmd_fuzz(args) -> int:
-    suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     spec = EnsembleSpec(
         kind=args.kind,
         dim=args.dim,
@@ -166,7 +131,7 @@ def cmd_fuzz(args) -> int:
         seed=args.seed,
         int_range=tuple(args.int_range),
     )
-    summaries = run_suites(suites, spec, _sweep_config(args))
+    summaries = run_suites(args.suite, spec, _sweep_config(args))
     columns = ("suite", "trials", "reports", "violations", "hypothesis_unmet",
                "worst_slack", "worst_name")
     rows = [
@@ -182,7 +147,7 @@ def cmd_conjecture(args) -> int:
     spec = EnsembleSpec(
         kind=args.kind, dim=args.dim, count=args.count, seed=args.seed
     )
-    cfg = SweepConfig(grid_points=args.grid) if args.grid else SweepConfig(grid_points=240)
+    cfg = SweepConfig(grid_points=240 if args.grid is None else args.grid)
     result = conjecture_search(spec, ascend_iters=args.ascend_iters, cfg=cfg)
     rows = [
         ("min_slack", result.min_slack),
@@ -191,12 +156,9 @@ def cmd_conjecture(args) -> int:
     ]
     # Reference slacks on the golden half-diff table rows, as a calibration
     # check that the searched quantity is computed correctly.
-    golden = reproduce_tables(SweepConfig())[0]
-    for r in golden.rows:
-        expected = r.reference["radius"] - r.reference["half_diff_re_radius"]
-        got = half_diff_slack(r.matrix)
-        rows.append((f"golden_slack_{r.label}", got))
-        rows.append((f"golden_slack_{r.label}_ref", expected))
+    for label, T, (half_diff_ref, radius_ref) in HALF_DIFF_ROWS:
+        rows.append((f"golden_slack_{label}", half_diff_slack(T)))
+        rows.append((f"golden_slack_{label}_ref", radius_ref - half_diff_ref))
     _emit(render_table(("quantity", "value"), rows, args.format), args.out)
     if args.witness_out or result.violated:
         doc = dumps_matrix(result.argmin_matrix)
@@ -228,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate inequality suites on one matrix")
     p.add_argument("matrix")
-    p.add_argument("--suite", required=True,
-                   help="comma-separated: " + ",".join(SINGLE_MATRIX_SUITES))
+    p.add_argument("--suite", required=True, type=_suite_list,
+                   help="comma-separated: " + ",".join(MATRIX_SUITE_NAMES))
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=0, help="seed for sampled vectors")
@@ -253,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_positivity)
 
     p = sub.add_parser("fuzz", help="run inequality suites over a random ensemble")
-    p.add_argument("--suite", required=True,
+    p.add_argument("--suite", required=True, type=_suite_list,
                    help="comma-separated: " + ",".join(SUITE_NAMES))
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--count", type=int, required=True)

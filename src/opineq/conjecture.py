@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import EnsembleSpec, generate, trial_rng
-from .linalg import matrix_abs, re_im_parts, spectral_norm
+from .inequalities import _half_diff_matrices
+from .linalg import spectral_norm
 from .radius import SweepConfig, numerical_radius
 
 __all__ = ["ConjectureResult", "half_diff_slack", "conjecture_search"]
@@ -32,10 +33,7 @@ class ConjectureResult:
 
 def half_diff_slack(T, cfg: SweepConfig | None = None) -> float:
     """w(T) - w((|T| - |T*|)/2 + i Re T); negative means counterexample."""
-    absT = matrix_abs(T)
-    absTs = matrix_abs(np.asarray(T).conj().T)
-    reT, _ = re_im_parts(T)
-    lhs = numerical_radius((absT - absTs) / 2.0 + 1j * reT, cfg).omega
+    lhs = numerical_radius(_half_diff_matrices(T)["plus-re"], cfg).omega
     return numerical_radius(T, cfg).omega - lhs
 
 

@@ -25,6 +25,7 @@ from .inequalities import (
     half_difference_reports,
     majorization_equiv,
     mixed_schwarz,
+    positivity_consistent,
     radius_upper_reports,
 )
 from .linalg import spectral_norm, split2
@@ -32,7 +33,7 @@ from .radius import SweepConfig
 
 MIXED_SCHWARZ_ALPHAS = tuple(0.25 * k for k in range(9))
 
-__all__ = ["SUITE_NAMES", "SuiteSummary", "run_suite", "run_suites"]
+__all__ = ["SUITE_NAMES", "MATRIX_SUITE_NAMES", "SuiteSummary", "run_suite", "run_suites"]
 
 
 @dataclass
@@ -81,11 +82,19 @@ def _nonpsd_blocks(rng, dim):
     return A, B, C
 
 
-def _single_matrix_suite(reports_fn):
+def _single_matrix_suite(on_matrix):
+    """A suite whose input is one square matrix T, drawn per trial.
+
+    ``on_matrix(T, rng, cfg)`` gives the reports for T; it is kept as the
+    suite's ``on_matrix`` attribute so that ``opineq bounds`` runs the
+    same rule on a given matrix.
+    """
+
     def run(rng, spec: EnsembleSpec, index: int, cfg):
         T = sample_matrix(rng, spec.kind, spec.dim, spec.int_range)
-        return reports_fn(T, cfg), {"T": T}
+        return on_matrix(T, rng, cfg), {"T": T}
 
+    run.on_matrix = on_matrix
     return run
 
 
@@ -95,12 +104,12 @@ def _suite_block_pair(rng, spec, index, cfg):
     return [block_pair_report(A, B, cfg)], {"A": A, "B": B}
 
 
-def _suite_mixed_schwarz(rng, spec, index, cfg):
-    T = sample_matrix(rng, spec.kind, spec.dim, spec.int_range)
-    x = _unit(rng, spec.dim)
-    y = _unit(rng, spec.dim)
-    reports = [mixed_schwarz(T, x, y, a) for a in MIXED_SCHWARZ_ALPHAS]
-    return reports, {"T": T}
+def _mixed_schwarz_reports(T, rng, cfg):
+    """mixed_schwarz at every alpha in MIXED_SCHWARZ_ALPHAS, for unit x and
+    then unit y drawn from rng."""
+    x = _unit(rng, T.shape[1])
+    y = _unit(rng, T.shape[0])
+    return [mixed_schwarz(T, x, y, a) for a in MIXED_SCHWARZ_ALPHAS]
 
 
 def _suite_corner(rng, spec, index, cfg):
@@ -159,11 +168,7 @@ def _suite_positivity(rng, spec, index, cfg):
     else:
         A, B, C = _nonpsd_blocks(rng, spec.dim)
         verdict = block_positivity(A, B, C, seed=int(rng.integers(0, 2**62)))
-        tol_psd = 1e-9 * (1.0 + max(spectral_norm(A), spectral_norm(B)))
-        detected = (
-            verdict.condition_ii_max_ratio > 1.0
-            or verdict.schur_residual < -tol_psd
-        )
+        detected = not verdict.is_psd and positivity_consistent(verdict, A, B)
         reports = [
             BoundReport(
                 name="nonpsd-detected",
@@ -175,13 +180,15 @@ def _suite_positivity(rng, spec, index, cfg):
     return reports, {"A": A, "B": B, "C": C}
 
 
+# The only suite dispatch: `fuzz` calls every suite, `bounds` the
+# ``on_matrix`` rule of the single-matrix ones.
 SUITES = {
-    "half-diff": _single_matrix_suite(half_difference_reports),
+    "half-diff": _single_matrix_suite(lambda T, rng, cfg: half_difference_reports(T, cfg)),
     "block-pair": _suite_block_pair,
-    "implicit": _single_matrix_suite(radius_upper_reports),
-    "beta-chain": _single_matrix_suite(beta_chain_reports),
-    "aluthge": _single_matrix_suite(aluthge_bound_reports),
-    "mixed-schwarz": _suite_mixed_schwarz,
+    "implicit": _single_matrix_suite(lambda T, rng, cfg: radius_upper_reports(T, cfg)),
+    "beta-chain": _single_matrix_suite(lambda T, rng, cfg: beta_chain_reports(T, cfg)),
+    "aluthge": _single_matrix_suite(lambda T, rng, cfg: aluthge_bound_reports(T, cfg)),
+    "mixed-schwarz": _single_matrix_suite(_mixed_schwarz_reports),
     "corner": _suite_corner,
     "compression": _suite_compression,
     "majorization": _suite_majorization,
@@ -189,6 +196,7 @@ SUITES = {
 }
 
 SUITE_NAMES = tuple(SUITES)
+MATRIX_SUITE_NAMES = tuple(name for name, suite in SUITES.items() if hasattr(suite, "on_matrix"))
 
 
 def run_suite(name: str, spec: EnsembleSpec, cfg: SweepConfig | None = None) -> SuiteSummary:

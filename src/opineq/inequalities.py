@@ -17,6 +17,7 @@ from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
     HypothesisUnmet,
+    InvalidSpec,
     NotHermitian,
     NotPSD,
     NotSquare,
@@ -41,6 +42,7 @@ __all__ = [
     "PositivityVerdict",
     "default_tol",
     "block_positivity",
+    "positivity_consistent",
     "majorization_equiv",
     "corner_norm_report",
     "compression_bound_report",
@@ -142,11 +144,10 @@ def block_positivity(A, B, C, samples: int | None = None, seed: int = 0) -> Posi
     n, m = A.shape[0], B.shape[0]
     if C.shape != (m, n):
         raise DimensionMismatch(f"C must be {m}x{n}, got {C.shape}")
+    if samples is not None and samples <= 0:
+        raise InvalidSpec(f"samples must be positive, got {samples}")
 
-    Tb = block2(A, C.conj().T, C, B)
-    w = herm_eig(Tb).values
-    min_eig = float(w[0])
-    norm_T = max(abs(float(w[0])), abs(float(w[-1])))
+    _, min_eig, norm_T = _check_block_psd(A, B, C)
     is_psd = min_eig >= -1e-9 * (1.0 + norm_T)
 
     eps_a = 1e-8 * (1.0 + spectral_norm(A))
@@ -206,6 +207,19 @@ def block_positivity(A, B, C, samples: int | None = None, seed: int = 0) -> Posi
         condition_ii_max_ratio=best,
         sampled_pairs=n_samples,
     )
+
+
+def positivity_consistent(verdict: PositivityVerdict, A, B) -> bool:
+    """Whether the routes of ``block_positivity(A, B, C)`` agree.
+
+    A PSD verdict must keep the inner-product ratio at or below 1 (up to
+    1e-6); a non-PSD verdict must be caught by a ratio above 1 or by a
+    Schur residual below -1e-9 * (1 + max(||A||, ||B||)).
+    """
+    if verdict.is_psd:
+        return verdict.condition_ii_max_ratio <= 1.0 + 1e-6
+    tol_psd = 1e-9 * (1.0 + max(spectral_norm(A), spectral_norm(B)))
+    return verdict.condition_ii_max_ratio > 1.0 or verdict.schur_residual < -tol_psd
 
 
 def majorization_equiv(T, S, samples: int = 40, seed: int = 0) -> tuple[BoundReport, BoundReport]:
@@ -285,17 +299,18 @@ def majorization_equiv(T, S, samples: int = 40, seed: int = 0) -> tuple[BoundRep
     return rep_one, rep_two
 
 
-def _check_block_psd(A, B, C) -> tuple[np.ndarray, float]:
-    """Assemble [[A, C*], [C, B]] and return it with its min eigenvalue."""
+def _check_block_psd(A, B, C) -> tuple[np.ndarray, float, float]:
+    """Assemble [[A, C*], [C, B]] and return it with its minimum eigenvalue
+    and its largest eigenvalue magnitude."""
     A, B, C = as_matrix(A), as_matrix(B), as_matrix(C)
     Tb = block2(A, C.conj().T, C, B)
     w = herm_eig(Tb).values
-    return Tb, float(w[0])
+    return Tb, float(w[0]), max(abs(float(w[0])), abs(float(w[-1])))
 
 
 def corner_norm_report(A, B, C) -> BoundReport:
     """||C|| <= ||[[A, C*], [C, B]]|| / 2 for a PSD block."""
-    Tb, min_eig = _check_block_psd(A, B, C)
+    Tb, min_eig, _ = _check_block_psd(A, B, C)
     norm_T = spectral_norm(Tb)
     if min_eig < -1e-9 * (1.0 + norm_T):
         raise NotPSD(f"block minimum eigenvalue {min_eig:.3e}")
@@ -312,7 +327,7 @@ def compression_bound_report(A, B, C) -> BoundReport:
     construction meets automatically); failing hypotheses raise
     HypothesisUnmet naming the condition.
     """
-    Tb, min_eig = _check_block_psd(A, B, C)
+    Tb, min_eig, _ = _check_block_psd(A, B, C)
     norm_T = spectral_norm(Tb)
     if min_eig < -1e-9 * (1.0 + norm_T):
         raise HypothesisUnmet("block-psd", f"minimum eigenvalue {min_eig:.3e}")
@@ -385,17 +400,23 @@ def _abs_pair(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return matrix_abs(T), matrix_abs(T.conj().T)
 
 
-def _half_diff_omegas(T: np.ndarray, cfg: SweepConfig | None) -> dict[str, float]:
-    """w((|T| - |T*|)/2 +/- i Re T) and the Im T variants."""
-    absT, absTs = _abs_pair(T)
-    M = (absT - absTs) / 2.0
+def _half_diff_matrices(T) -> dict[str, np.ndarray]:
+    """(|T| - |T*|)/2 +/- i Re T and the Im T variants, keyed plus-re,
+    minus-re, plus-im and minus-im."""
+    T = np.asarray(T)
+    M = (matrix_abs(T) - matrix_abs(T.conj().T)) / 2.0
     reT, imT = re_im_parts(T)
     return {
-        "plus-re": _omega(M + 1j * reT, cfg),
-        "minus-re": _omega(M - 1j * reT, cfg),
-        "plus-im": _omega(M + 1j * imT, cfg),
-        "minus-im": _omega(M - 1j * imT, cfg),
+        "plus-re": M + 1j * reT,
+        "minus-re": M - 1j * reT,
+        "plus-im": M + 1j * imT,
+        "minus-im": M - 1j * imT,
     }
+
+
+def _half_diff_omegas(T: np.ndarray, cfg: SweepConfig | None) -> dict[str, float]:
+    """The numerical radii of the four half-difference matrices."""
+    return {key: _omega(M, cfg) for key, M in _half_diff_matrices(T).items()}
 
 
 def half_difference_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport]:

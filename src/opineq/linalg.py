@@ -20,7 +20,6 @@ from .errors import (
     NotHermitian,
     NotPSD,
     NotSquare,
-    ZeroVector,
 )
 
 # Eigenvalues at or below RANK_RTOL times the largest one are treated as
@@ -32,7 +31,6 @@ __all__ = [
     "SvdFactors",
     "as_matrix",
     "inner",
-    "unit_vector",
     "fro_norm",
     "spectral_norm",
     "is_hermitian",
@@ -75,14 +73,6 @@ def inner(x, y) -> complex:
     return complex(np.vdot(yv, xv))
 
 
-def unit_vector(x) -> np.ndarray:
-    xv = np.asarray(x, dtype=np.complex128).ravel()
-    n = float(np.linalg.norm(xv))
-    if n == 0.0:
-        raise ZeroVector("cannot normalize the zero vector")
-    return xv / n
-
-
 def fro_norm(T) -> float:
     return float(np.linalg.norm(np.asarray(T)))
 
@@ -119,6 +109,12 @@ class SvdFactors:
     left: np.ndarray
     sigmas: np.ndarray
     right: np.ndarray
+
+    def abs_factor(self) -> np.ndarray:
+        """|T| = V diag(sigma) V*, square of size cols(T)."""
+        V = self.right
+        R = (V * self.sigmas) @ V.conj().T
+        return (R + R.conj().T) / 2.0
 
 
 def herm_eig(H) -> HermEigen:
@@ -158,10 +154,7 @@ def matrix_abs(T) -> np.ndarray:
     Built from the SVD: |T| = V diag(sigma) V*.  Works for rectangular T
     (the result is square of size cols(T)).
     """
-    f = svd(T)
-    V = f.right
-    R = (V * f.sigmas) @ V.conj().T
-    return (R + R.conj().T) / 2.0
+    return svd(T).abs_factor()
 
 
 def matrix_power_psd(P, alpha: float) -> np.ndarray:

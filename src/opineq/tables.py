@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import aluthge_bound_reports, radius_upper_reports
-from .linalg import matrix_abs, spectral_norm, re_im_parts
+from .inequalities import _half_diff_matrices, aluthge_bound_reports, radius_upper_reports
+from .linalg import matrix_abs, spectral_norm
 from .radius import SweepConfig, numerical_radius
 
 TABLE_TOL = 5e-3
 
-__all__ = ["TABLE_TOL", "TableRow", "GoldenTable", "reproduce_tables", "all_rows_ok"]
+__all__ = ["TABLE_TOL", "HALF_DIFF_ROWS", "TableRow", "GoldenTable", "reproduce_tables"]
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,9 @@ def _m(rows) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-# (label, matrix, (half_diff_re_radius, radius))
-_HALF_DIFF_ROWS = (
+# (label, matrix, (half_diff_re_radius, radius)); `opineq conjecture` also
+# reports the searched slack on these rows.
+HALF_DIFF_ROWS = (
     ("hd-1", _m([[5 + 7j, 9 + 6j], [5j, 10 + 3j]]), (12.672, 16.4629)),
     ("hd-2", _m([[8 + 8j, 10 + 6j], [1j, 4 + 6j]]), (11.9372, 15.8452)),
     ("hd-3", _m([[6 + 3j, 6 + 9j], [9, 7 + 1j]]), (15.2607, 16.6345)),
@@ -82,21 +83,14 @@ _ALUTHGE_MEAN_ROWS = (
 )
 
 
-def _half_diff_re_radius(T: np.ndarray, cfg: SweepConfig | None) -> float:
-    absT = matrix_abs(T)
-    absTs = matrix_abs(T.conj().T)
-    reT, _ = re_im_parts(T)
-    return numerical_radius((absT - absTs) / 2.0 + 1j * reT, cfg).omega
-
-
 def reproduce_tables(cfg: SweepConfig | None = None) -> list[GoldenTable]:
     tables = []
 
     cols = ("half_diff_re_radius", "radius")
     rows = []
-    for label, T, ref in _HALF_DIFF_ROWS:
+    for label, T, ref in HALF_DIFF_ROWS:
         computed = {
-            "half_diff_re_radius": _half_diff_re_radius(T, cfg),
+            "half_diff_re_radius": numerical_radius(_half_diff_matrices(T)["plus-re"], cfg).omega,
             "radius": numerical_radius(T, cfg).omega,
         }
         rows.append(TableRow(label, T, computed, dict(zip(cols, ref))))
@@ -143,7 +137,3 @@ def reproduce_tables(cfg: SweepConfig | None = None) -> list[GoldenTable]:
     tables.append(GoldenTable("aluthge-vs-mean", cols, tuple(rows)))
 
     return tables
-
-
-def all_rows_ok(tables, tol: float = TABLE_TOL) -> bool:
-    return all(t.ok(tol) for t in tables)

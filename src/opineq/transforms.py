@@ -40,12 +40,6 @@ class AluthgeResult:
     polar: PolarFactors
 
 
-def _abs_from_svd(f) -> np.ndarray:
-    V = f.right
-    R = (V * f.sigmas) @ V.conj().T
-    return (R + R.conj().T) / 2.0
-
-
 def polar(T) -> PolarFactors:
     """Polar decomposition T = U |T| with U a partial isometry.
 
@@ -58,7 +52,7 @@ def polar(T) -> PolarFactors:
     smax = float(f.sigmas[0]) if f.sigmas.size else 0.0
     keep = f.sigmas > SIGMA_RTOL * smax
     U = f.left[:, keep] @ f.right[:, keep].conj().T
-    return PolarFactors(u=U, abs_factor=_abs_from_svd(f), alpha=1.0)
+    return PolarFactors(u=U, abs_factor=f.abs_factor(), alpha=1.0)
 
 
 def generalized_polar(T, alpha: float) -> PolarFactors:
@@ -73,7 +67,7 @@ def generalized_polar(T, alpha: float) -> PolarFactors:
     T = as_matrix(T)
     f = svd(T)
     U = (f.left * f.sigmas ** (1.0 - alpha)) @ f.right.conj().T
-    return PolarFactors(u=U, abs_factor=_abs_from_svd(f), alpha=float(alpha))
+    return PolarFactors(u=U, abs_factor=f.abs_factor(), alpha=float(alpha))
 
 
 def aluthge(T) -> AluthgeResult:

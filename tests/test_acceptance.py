@@ -36,6 +36,7 @@ from opineq import (
     numerical_radius,
     off_diag_radius,
     polar,
+    positivity_consistent,
     radius_upper_reports,
     rayleigh_radius,
     reproduce_tables,
@@ -205,8 +206,9 @@ def test_criterion_3_theorem_fuzz_suite():
         n = (i % 3) + 1
         g = random_complex(rng, 2 * n)
         G = g.conj().T @ g
-        v = block_positivity(G[:n, :n], G[n:, n:], G[n:, :n], seed=i)
-        if not (v.is_psd and v.condition_ii_max_ratio <= 1 + 1e-6):
+        A, B = G[:n, :n], G[n:, n:]
+        v = block_positivity(A, B, G[n:, :n], seed=i)
+        if not (v.is_psd and positivity_consistent(v, A, B)):
             viol.append((i, "gram", v.condition_ii_max_ratio))
     for i in range(200):
         rng = trial_rng(310, i)
@@ -221,8 +223,7 @@ def test_criterion_3_theorem_fuzz_suite():
                 break
             C = 2 * C
         v = block_positivity(A, B, C, seed=i)
-        detected = v.condition_ii_max_ratio > 1 or v.schur_residual < -1e-9 * scale
-        if v.is_psd or not detected:
+        if v.is_psd or not positivity_consistent(v, A, B):
             viol.append((i, "non-psd", v.condition_ii_max_ratio))
     failures["positivity"] = viol
 

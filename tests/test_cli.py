@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from opineq.cli import main
-from opineq.matio import save_matrix
+from opineq.ensembles import trial_rng
+from opineq.fuzz import MATRIX_SUITE_NAMES, SUITES
+from opineq.matio import load_matrix, save_matrix
 
 
 @pytest.fixture
@@ -55,6 +57,18 @@ def test_bounds_json(matrix_file, capsys):
 
 def test_bounds_rejects_block_suite(matrix_file, capsys):
     assert main(["bounds", matrix_file, "--suite", "corner"]) == 2
+
+
+def test_bounds_runs_the_registry_rules(matrix_file, capsys):
+    assert MATRIX_SUITE_NAMES == ("half-diff", "implicit", "beta-chain", "aluthge", "mixed-schwarz")
+    argv = ["bounds", matrix_file, "--suite", ",".join(MATRIX_SUITE_NAMES), "--seed", "5"]
+    assert main(argv + ["--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    T = load_matrix(matrix_file)
+    expected = []
+    for name in MATRIX_SUITE_NAMES:
+        expected += SUITES[name].on_matrix(T, trial_rng(5, 0), None)
+    assert got == [r.to_json_dict() for r in expected]
 
 
 def test_tables_command(tmp_path, capsys):
@@ -128,3 +142,14 @@ def test_input_errors(tmp_path, capsys):
     save_matrix(np.ones((1, 2)), nonsquare)
     assert main(["radius", str(nonsquare)]) == 2
     assert main(["fuzz", "--suite", "nope", "--dim", "2", "--count", "2"]) == 2
+    good = tmp_path / "good.json"
+    save_matrix(np.eye(2), good)
+    # zero grid or tolerance is invalid, not a request for the defaults
+    assert main(["radius", str(good), "--grid", "0"]) == 2
+    assert main(["radius", str(good), "--tol", "0"]) == 2
+    assert main(["conjecture", "--dim", "2", "--count", "1", "--grid", "0"]) == 2
+    # a suite list that names no suite
+    assert main(["bounds", str(good), "--suite", ""]) == 2
+    assert main(["fuzz", "--suite", " , ", "--dim", "2", "--count", "2"]) == 2
+    # no sampled pairs: block_positivity has no ratio to report
+    assert main(["positivity", str(good), str(good), str(good), "--samples", "0"]) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from opineq import (
     HypothesisUnmet,
+    InvalidSpec,
     NotPSD,
     aluthge_bound_reports,
     beta_chain_reports,
@@ -17,13 +18,14 @@ from opineq import (
     majorization_equiv,
     matrix_abs,
     mixed_schwarz,
+    positivity_consistent,
     radius_upper_reports,
     re_im_parts,
     schwarz_gram,
     spectral_norm,
 )
 from opineq.ensembles import trial_rng, unit_disc_matrix
-from opineq.inequalities import BoundReport
+from opineq.inequalities import BoundReport, PositivityVerdict
 
 
 def random_complex(rng, n, m=None):
@@ -70,6 +72,24 @@ def test_block_positivity_violating_corner():
     assert v.schur_residual < -0.5
 
 
+def test_block_positivity_rejects_no_samples():
+    for samples in (0, -3):
+        with pytest.raises(InvalidSpec):
+            block_positivity(np.eye(2), np.eye(2), np.eye(2), samples=samples)
+
+
+def test_positivity_consistent():
+    I2 = np.eye(2)
+    psd = block_positivity(I2, I2, 0.5 * I2, seed=1)
+    assert psd.is_psd and positivity_consistent(psd, I2, I2)
+    non_psd = block_positivity(I2, I2, 2 * I2, seed=1)
+    assert not non_psd.is_psd and positivity_consistent(non_psd, I2, I2)
+    # routes that disagree: a PSD verdict with a ratio above 1, and a
+    # non-PSD verdict that neither the ratio nor the Schur route catches
+    assert not positivity_consistent(PositivityVerdict(True, 0.0, 0.0, 1.5, 1), I2, I2)
+    assert not positivity_consistent(PositivityVerdict(False, -1.0, 0.0, 0.5, 1), I2, I2)
+
+
 def test_block_positivity_gram_ratio_below_one():
     for i in range(40):
         rng = trial_rng(7, i)
@@ -94,8 +114,7 @@ def test_block_positivity_detects_non_psd():
             C = 2 * C
         v = block_positivity(A, B, C, seed=i)
         assert not v.is_psd
-        tol_psd = 1e-9 * scale
-        assert v.condition_ii_max_ratio > 1 or v.schur_residual < -tol_psd
+        assert positivity_consistent(v, A, B)
 
 
 # ------------------------------------------------------------- majorization
