@@ -16,6 +16,7 @@ from .errors import (
     InvalidSpec,
     MatrixFormatError,
     NoConvergence,
+    NonFinite,
     NotHermitian,
     NotPSD,
     NotSquare,

@@ -9,11 +9,12 @@ counterexample; the search reports, it never asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ensembles import EnsembleSpec, generate, trial_rng
+from .errors import InvalidSpec
 from .inequalities import _half_diff_matrices
 from .linalg import spectral_norm
 from .radius import SweepConfig, numerical_radius
@@ -50,6 +51,8 @@ def conjecture_search(
     Frobenius size step (initially 0.1 * ||T||, decaying by 0.7 per
     round).  Deterministic for a fixed spec.
     """
+    if ascend_iters < 0:
+        raise InvalidSpec(f"ascend_iters must be >= 0, got {ascend_iters}")
     cfg = cfg or SweepConfig()
     scored: list[tuple[float, np.ndarray]] = []
     trials = 0
@@ -83,11 +86,8 @@ def conjecture_search(
     # surface any angle-grid weakness as a fake counterexample; re-score
     # every finalist at a finer, multi-bracket configuration before
     # reporting.
-    verify_cfg = SweepConfig(
-        grid_points=max(4 * cfg.grid_points, 1440),
-        refine_iters=cfg.refine_iters,
-        top_k=max(cfg.top_k, 8),
-        tol=cfg.tol,
+    verify_cfg = replace(
+        cfg, grid_points=max(4 * cfg.grid_points, 1440), top_k=max(cfg.top_k, 8)
     )
     best_slack, best_T = min(
         ((half_diff_slack(T, verify_cfg), T) for T in finalists), key=lambda p: p[0]

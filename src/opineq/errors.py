@@ -25,6 +25,10 @@ class DimensionMismatch(OpineqError):
     pass
 
 
+class NonFinite(OpineqError, ValueError):
+    """A matrix entry is NaN or infinite; also a ValueError for older callers."""
+
+
 class AlphaOutOfRange(OpineqError):
     pass
 

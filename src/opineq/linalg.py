@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     HypothesisViolated,
     NoConvergence,
+    NonFinite,
     NotHermitian,
     NotPSD,
     NotSquare,
@@ -54,7 +55,7 @@ def as_matrix(a) -> np.ndarray:
     if m.shape[0] == 0 or m.shape[1] == 0:
         raise DimensionMismatch("matrix dimensions must be positive")
     if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+        raise NonFinite("matrix entries must be finite")
     return m
 
 

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IdentityMismatch, InvalidSpec
-from .linalg import as_matrix, re_im_parts, spectral_norm
+from .linalg import as_matrix, block2, re_im_parts, spectral_norm
 
 TWO_PI = 2.0 * math.pi
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Bisection alone shrinks any bracket below 1e-16 in 55 steps; the cap guards termination.
+_MAX_STEPS = 64
 
 __all__ = [
     "SweepConfig",
@@ -37,13 +38,13 @@ class SweepConfig:
     """Angle-sweep controls.
 
     A uniform grid locates candidate maxima; the top_k bracketed local
-    maxima are refined by golden-section search down to angle resolution
-    ``tol``.  Multiple brackets are refined because the sweep function can
-    have several local maxima, so single-start refinement is unsafe.
+    maxima are refined by safeguarded Newton steps down to angle
+    resolution ``tol``.  Multiple brackets are refined because the sweep
+    function can have several local maxima, so single-start refinement
+    is unsafe.
     """
 
     grid_points: int = 720
-    refine_iters: int = 60
     top_k: int = 5
     tol: float = 1e-11
 
@@ -52,8 +53,8 @@ class SweepConfig:
             raise InvalidSpec("grid_points must be >= 8")
         if self.tol <= 0:
             raise InvalidSpec("tol must be positive")
-        if self.top_k < 1 or self.refine_iters < 0:
-            raise InvalidSpec("top_k must be >= 1 and refine_iters >= 0")
+        if self.top_k < 1:
+            raise InvalidSpec("top_k must be >= 1")
 
 
 DEFAULT_SWEEP = SweepConfig()
@@ -69,66 +70,64 @@ class SweepResult:
     witness: np.ndarray
 
 
-def _herm_batch_max(A: np.ndarray, B: np.ndarray):
-    """Return f(thetas) = lambda_max(cos(t) A - sin(t) B) evaluated batched."""
+def _max_on_circle(
+    A: np.ndarray, B: np.ndarray, C: np.ndarray, cfg: SweepConfig
+) -> tuple[float, float]:
+    """Maximize f(theta) = lambda_max(C + cos(theta) A - sin(theta) B).
 
-    def f(thetas: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(thetas, dtype=float))
-        M = np.cos(t)[:, None, None] * A - np.sin(t)[:, None, None] * B
-        return np.linalg.eigvalsh(M)[:, -1]
-
-    return f
-
-
-def _max_on_circle(batch_f, cfg: SweepConfig) -> tuple[float, float]:
-    """Maximize a continuous 2pi-periodic function given a batched evaluator.
-
-    Returns (theta_star, value).  Deterministic: grid, bracket selection
-    and refinement order are all fixed by the configuration.
+    One batched eigvalsh over a uniform grid brackets the top_k local
+    maxima; safeguarded Newton steps refine them together, one batched
+    eigh per step over the brackets still active.  With
+    H' = -sin(theta) A - cos(theta) B and the top eigenpair (lam, v),
+        f' = v* H' v,  f'' = -lam + v* C v + 2 sum_j |v_j* H' v|^2 / (lam - lam_j)
+    over the eigenpairs j below the top (Kato's perturbation series); a
+    tie, as for an eigenvalue repeated at every theta, adds no curvature.
+    Each step shrinks its bracket by the sign of f'.  A step that leaves
+    the bracket, or a non-finite or non-negative f'', bisects instead.  A
+    bracket stops when its step or width is at most ``tol`` or when |f'|
+    is within 4 ulps of max |lam|.  Returns (theta_star, value), the
+    largest eigensolver value seen, the grid's included.
     """
-    n = cfg.grid_points
-    thetas = np.arange(n) * (TWO_PI / n)
-    vals = np.asarray(batch_f(thetas), dtype=float)
+    # A power-of-two scale keeps the squares in f'' finite at extreme
+    # input scales and multiplies back exactly.
+    peak = max(float(np.abs(M).max()) for M in (A, B, C))
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    A, B, C = A / scale, B / scale, C / scale
 
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    locmax = np.flatnonzero((vals >= left) & (vals >= right))
-    if locmax.size == 0:
-        locmax = np.array([int(np.argmax(vals))])
+    h = TWO_PI / cfg.grid_points
+    thetas = np.arange(cfg.grid_points) * h
+    c, s = np.cos(thetas)[:, None, None], np.sin(thetas)[:, None, None]
+    grid = c * A - s * B
+    grid += C  # in place: a third stack of n x n matrices would raise peak memory
+    vals = np.linalg.eigvalsh(grid)[:, -1]
+    locmax = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
     picks = locmax[np.argsort(vals[locmax], kind="stable")[::-1]][: cfg.top_k]
+    theta_star, value = float(thetas[picks[0]]), float(vals[picks[0]])  # the grid maximum
 
-    h = TWO_PI / n
-    a = thetas[picks] - h
-    b = thetas[picks] + h
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = np.asarray(batch_f(c), dtype=float)
-    fd = np.asarray(batch_f(d), dtype=float)
-
-    for _ in range(cfg.refine_iters):
-        if np.all(b - a <= cfg.tol):
+    t = thetas[picks]
+    lo, hi = t - h, t + h
+    for _ in range(_MAX_STEPS):
+        c, s = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
+        lam, V = np.linalg.eigh(C + c * A - s * B)
+        top, v = lam[:, -1], V[:, :, -1:]
+        k = int(np.argmax(top))
+        if top[k] > value:
+            theta_star, value = float(t[k]), float(top[k])
+        # w[:, j] = v_j* H' v for every eigenvector v_j; the last is f'.
+        w = (V.conj().transpose(0, 2, 1) @ ((-s * A - c * B) @ v))[:, :, 0]
+        d1 = w[:, -1].real
+        gap = top[:, None] - lam[:, :-1]
+        terms = np.divide(np.abs(w[:, :-1]) ** 2, gap, out=np.zeros_like(gap), where=gap > 0.0)
+        d2 = (v.conj().transpose(0, 2, 1) @ C @ v)[:, 0, 0].real - top + 2.0 * terms.sum(axis=1)
+        newton = t - np.divide(d1, d2, out=np.full_like(d1, np.inf), where=d2 < 0.0)
+        lo, hi = np.where(d1 > 0.0, t, lo), np.where(d1 > 0.0, hi, t)
+        nxt = np.where((newton > lo) & (newton < hi), newton, (lo + hi) / 2.0)
+        flat = np.abs(d1) <= 4.0 * np.finfo(float).eps * np.abs(lam).max(axis=1)
+        going = ~(flat | (np.abs(nxt - t) <= cfg.tol) | (hi - lo <= cfg.tol))
+        if not going.any():
             break
-        m = fc > fd
-        a_new = np.where(m, a, c)
-        b_new = np.where(m, d, b)
-        width = b_new - a_new
-        pts = np.where(m, b_new - _INVPHI * width, a_new + _INVPHI * width)
-        f_pts = np.asarray(batch_f(pts), dtype=float)
-        c_new = np.where(m, pts, d)
-        d_new = np.where(m, c, pts)
-        fc_new = np.where(m, f_pts, fd)
-        fd_new = np.where(m, fc, f_pts)
-        a, b, c, d, fc, fd = a_new, b_new, c_new, d_new, fc_new, fd_new
-
-    mids = (a + b) / 2.0
-    f_mids = np.asarray(batch_f(mids), dtype=float)
-    k = int(np.argmax(f_mids))
-    theta, value = float(mids[k]), float(f_mids[k])
-
-    g = int(np.argmax(vals))
-    if vals[g] > value:
-        theta, value = float(thetas[g]), float(vals[g])
-    return theta % TWO_PI, value
+        t, lo, hi = nxt[going], lo[going], hi[going]
+    return theta_star % TWO_PI, value * scale
 
 
 def f_theta(T, theta: float) -> float:
@@ -148,11 +147,11 @@ def _fix_phase(x: np.ndarray) -> np.ndarray:
 
 
 def numerical_radius(T, cfg: SweepConfig | None = None) -> SweepResult:
-    """Numerical radius by grid sweep plus golden-section refinement."""
+    """Numerical radius by grid sweep plus Newton refinement."""
     cfg = cfg or DEFAULT_SWEEP
     T = as_matrix(T)
     A, B = re_im_parts(T)
-    theta, value = _max_on_circle(_herm_batch_max(A, B), cfg)
+    theta, value = _max_on_circle(A, B, np.zeros_like(A), cfg)
     H = math.cos(theta) * A - math.sin(theta) * B
     _, V = np.linalg.eigh(H)
     witness = _fix_phase(V[:, -1])
@@ -202,43 +201,38 @@ def rayleigh_radius(T, trials: int = 16, seed: int = 0) -> tuple[float, np.ndarr
     return float(best_val), _fix_phase(best_x)
 
 
+def _off_diag(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """[[0, X], [Y*, 0]]; for Y = X, the Hermitian dilation, with top eigenvalue ||X||."""
+    p, q = X.shape
+    return block2(np.zeros((p, p)), X, Y.conj().T, np.zeros((q, q)))
+
+
 def sup_theta_norm(X, Y, cfg: SweepConfig | None = None) -> float:
-    """sup over theta of the spectral norm of X + exp(1j*theta) Y."""
-    cfg = cfg or DEFAULT_SWEEP
-    X, Y = as_matrix(X), as_matrix(Y)
-    if X.shape != Y.shape:
-        raise DimensionMismatch(f"shapes {X.shape} and {Y.shape} differ")
+    """sup over theta of the spectral norm of X + exp(1j*theta) Y.
 
-    def f(thetas: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(thetas, dtype=float))
-        M = X[None, :, :] + np.exp(1j * t)[:, None, None] * Y[None, :, :]
-        return np.linalg.svd(M, compute_uv=False)[:, 0]
-
-    _, value = _max_on_circle(f, cfg)
-    return value
-
-
-def off_diag_radius(X, Y, cfg: SweepConfig | None = None) -> float:
-    """Numerical radius of [[0, X], [Y*, 0]].
-
-    Also evaluates sup_theta ||X + exp(1j*theta) Y|| by an independent
-    sweep and checks the identity
-        2 w([[0, X], [Y*, 0]]) = sup_theta ||X + exp(1j*theta) Y||
-    to 1e-8 * scale, raising IdentityMismatch on disagreement.
+    The Hermitian dilation dil(M) = [[0, M], [M*, 0]] is linear, so
+    dil(X + exp(1j*theta) Y) = dil(X) + cos(theta) dil(Y) - sin(theta) dil(-1j*Y),
+    and the radius kernel maximizes its top eigenvalue.
     """
     cfg = cfg or DEFAULT_SWEEP
     X, Y = as_matrix(X), as_matrix(Y)
     if X.shape != Y.shape:
         raise DimensionMismatch(f"shapes {X.shape} and {Y.shape} differ")
-    p, q = X.shape
-    Z = np.block(
-        [
-            [np.zeros((p, p), dtype=np.complex128), X],
-            [Y.conj().T, np.zeros((q, q), dtype=np.complex128)],
-        ]
-    )
-    omega = numerical_radius(Z, cfg).omega
+    A, B, C = (_off_diag(M, M) for M in (Y, -1j * Y, X))
+    return _max_on_circle(A, B, C, cfg)[1]
+
+
+def off_diag_radius(X, Y, cfg: SweepConfig | None = None) -> float:
+    """Numerical radius of [[0, X], [Y*, 0]].
+
+    Also evaluates sup_theta ||X + exp(1j*theta) Y|| by a second sweep,
+    over the Hermitian dilation of X + exp(1j*theta) Y, and checks the identity
+        2 w([[0, X], [Y*, 0]]) = sup_theta ||X + exp(1j*theta) Y||
+    to 1e-8 * scale, raising IdentityMismatch on disagreement.
+    """
+    cfg = cfg or DEFAULT_SWEEP
     sup = sup_theta_norm(X, Y, cfg)
+    omega = numerical_radius(_off_diag(as_matrix(X), as_matrix(Y)), cfg).omega
     scale = 1.0 + max(spectral_norm(X), spectral_norm(Y))
     if abs(2.0 * omega - sup) > 1e-8 * scale:
         raise IdentityMismatch(

@@ -148,6 +148,8 @@ def test_input_errors(tmp_path, capsys):
     assert main(["radius", str(good), "--grid", "0"]) == 2
     assert main(["radius", str(good), "--tol", "0"]) == 2
     assert main(["conjecture", "--dim", "2", "--count", "1", "--grid", "0"]) == 2
+    # a negative descent count is invalid, not a request for no descent
+    assert main(["conjecture", "--dim", "2", "--count", "2", "--ascend-iters", "-1"]) == 2
     # a suite list that names no suite
     assert main(["bounds", str(good), "--suite", ""]) == 2
     assert main(["fuzz", "--suite", " , ", "--dim", "2", "--count", "2"]) == 2

@@ -6,6 +6,8 @@ import pytest
 from opineq import (
     DimensionMismatch,
     InvalidSpec,
+    NonFinite,
+    OpineqError,
     SweepConfig,
     f_theta,
     numerical_radius,
@@ -100,6 +102,70 @@ def test_radius_dominates_hermitian_parts():
         assert w >= max(spectral_norm(A), spectral_norm(B)) - 1e-9 * scale
 
 
+def test_radius_nilpotent_shift_closed_form():
+    for n in range(2, 9):
+        w = numerical_radius(np.eye(n, k=1)).omega
+        assert abs(w - math.cos(math.pi / (n + 1))) <= 1e-13
+
+
+def test_radius_top_eigenvalue_repeated_for_every_angle():
+    rng = np.random.default_rng(10)
+    S = random_complex(rng, 3)
+    w = numerical_radius(S).omega
+    Z = np.zeros((3, 3))
+    SS = np.block([[S, Z], [Z, S]])
+    Q = random_unitary(rng, 6)
+    for T in (SS, np.kron(S, np.eye(3)), Q.conj().T @ SS @ Q):
+        assert numerical_radius(T).omega == pytest.approx(w, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radius_homogeneity_at_extreme_scales():
+    rng = np.random.default_rng(11)
+    for n in (1, 3, 6):
+        T = random_complex(rng, n)
+        w = numerical_radius(T).omega
+        for c in (1e-300, 1e-150, 1e150, 1e300):
+            assert numerical_radius(c * T).omega == pytest.approx(c * w, rel=1e-12)
+
+
+def test_radius_attained_and_above_dense_grid():
+    rng = np.random.default_rng(12)
+    thetas = np.arange(4096) * (2 * math.pi / 4096)
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        T = random_complex(rng, n)
+        res = numerical_radius(T)
+        assert f_theta(T, res.theta_star) == pytest.approx(res.omega, rel=1e-13)
+        A = (T + T.conj().T) / 2
+        B = (T - T.conj().T) / 2j
+        H = np.cos(thetas)[:, None, None] * A - np.sin(thetas)[:, None, None] * B
+        dense = np.linalg.eigvalsh(H)[:, -1].max()
+        assert res.omega >= dense - 1e-13 * (1 + spectral_norm(T))
+
+
+def test_newton_refinement_converges_in_few_steps(monkeypatch):
+    # Exact f'' makes the refinement quadratic: a handful of batched eigh
+    # steps per call, where a wrong curvature needs tens of them.
+    eigh, steps = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: steps.append(M.ndim == 3) or eigh(M))
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        S = random_complex(rng, int(rng.integers(2, 7)))
+        # S (+) S repeats the top eigenvalue at every angle
+        for T in (S, np.kron(np.eye(2), S)):
+            steps.clear()
+            numerical_radius(T)
+            assert sum(steps) <= 6
+
+
+def test_radius_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NonFinite) as info:
+            numerical_radius([[bad, 0], [0, 1]])
+        assert isinstance(info.value, OpineqError) and isinstance(info.value, ValueError)
+
+
 def test_rayleigh_examples():
     val, _ = rayleigh_radius(np.diag([1.0, 1j]), trials=8, seed=0)
     assert val == pytest.approx(1.0, abs=1e-9)
@@ -137,6 +203,25 @@ def test_off_diag_identity_random():
         # routes disagree; reaching here means they matched to 1e-8*scale.
         omega = off_diag_radius(X, Y)
         assert 2 * omega == pytest.approx(sup_theta_norm(X, Y), abs=1e-7)
+
+
+def test_sup_theta_norm_against_dense_svd_grid():
+    rng = np.random.default_rng(13)
+    thetas = np.arange(4096) * (2 * math.pi / 4096)
+    for _ in range(20):
+        p, q = (int(k) for k in rng.integers(1, 6, size=2))
+        X = random_complex(rng, p, q)
+        Y = random_complex(rng, p, q)
+        sup = sup_theta_norm(X, Y)
+        M = X[None] + np.exp(1j * thetas)[:, None, None] * Y[None]
+        dense = np.linalg.svd(M, compute_uv=False)[:, 0].max()
+        ny = spectral_norm(Y)
+        scale = 1 + spectral_norm(X) + ny
+        # The top eigenvalue of the dilation has second derivative at
+        # least -||Y||, so the nearest grid angle, at most pi/4096 from
+        # the maximizer, loses at most ||Y|| (pi/4096)^2 / 2.
+        assert dense - 1e-12 * scale <= sup
+        assert sup <= dense + ny * (math.pi / 4096) ** 2 / 2 + 1e-12 * scale
 
 
 def test_off_diag_shape_check():
