@@ -52,7 +52,6 @@ from .linalg import (
     inner,
     matrix_abs,
     matrix_power_psd,
-    pos_neg_parts,
     re_im_parts,
     spectral_norm,
     split2,

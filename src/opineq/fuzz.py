@@ -16,6 +16,7 @@ from .errors import HypothesisUnmet, UnknownSuite
 from .ensembles import EnsembleSpec, sample_matrix, trial_rng
 from .inequalities import (
     BoundReport,
+    _check_block_psd,
     aluthge_bound_reports,
     beta_chain_reports,
     block_pair_report,
@@ -75,8 +76,7 @@ def _nonpsd_blocks(rng, dim):
     C = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     scale = 1.0 + max(spectral_norm(A), spectral_norm(B))
     for _ in range(60):
-        block = np.block([[A, C.conj().T], [C, B]])
-        if float(np.linalg.eigvalsh((block + block.conj().T) / 2.0)[0]) < -1e-4 * scale:
+        if _check_block_psd(A, B, C)[1] < -1e-4 * scale:
             return A, B, C
         C = 2.0 * C
     return A, B, C

@@ -31,6 +31,7 @@ from .linalg import (
     is_hermitian,
     matrix_abs,
     matrix_power_psd,
+    psd_verdict,
     re_im_parts,
     spectral_norm,
 )
@@ -123,10 +124,28 @@ def _require_hermitian(M: np.ndarray, what: str) -> np.ndarray:
     return (M + M.conj().T) / 2.0
 
 
-def _ratio(num: float, den: float, eps: float) -> float:
-    if den <= eps:
-        return 0.0 if num <= eps else math.inf
-    return num / den
+# Pairs drawn and scored at a time: bounds memory for any sample count.
+_PAIRS_PER_DRAW = 1024
+
+
+def _pair_ratios(A, B, C, U, V, eps: float) -> np.ndarray:
+    """|<Cu,v>|^2 / (<Au,u> <Bv,v>) for each row pair (u, v) of U and V; a
+    denominator <= eps gives inf, or 0 when the numerator is also <= eps."""
+    num = np.abs(np.einsum("kj,kj->k", V.conj(), U @ C.T)) ** 2
+    den = np.einsum("ki,ki->k", U.conj(), U @ A.T).real
+    den *= np.einsum("kj,kj->k", V.conj(), V @ B.T).real
+    ratios = np.where(num > eps, np.inf, 0.0)
+    return np.divide(num, den, out=ratios, where=den > eps)
+
+
+def _solve_unit(M, x, fallback):
+    """The unit vector along M^-1 x, or ``fallback`` when x or M^-1 x is zero."""
+    if np.linalg.norm(x) > 0:
+        y = np.linalg.solve(M, x)
+        ny = np.linalg.norm(y)
+        if ny > 0:
+            return y / ny
+    return fallback
 
 
 def block_positivity(A, B, C, samples: int | None = None, seed: int = 0) -> PositivityVerdict:
@@ -147,58 +166,40 @@ def block_positivity(A, B, C, samples: int | None = None, seed: int = 0) -> Posi
     if samples is not None and samples <= 0:
         raise InvalidSpec(f"samples must be positive, got {samples}")
 
-    _, min_eig, norm_T = _check_block_psd(A, B, C)
-    is_psd = min_eig >= -1e-9 * (1.0 + norm_T)
+    is_psd, min_eig, _ = _check_block_psd(A, B, C)
+    norm_a, norm_b = spectral_norm(A), spectral_norm(B)
 
-    eps_a = 1e-8 * (1.0 + spectral_norm(A))
-    A_eps = A + eps_a * np.eye(n)
+    A_eps = A + 1e-8 * (1.0 + norm_a) * np.eye(n)
     schur = B - C @ np.linalg.solve(A_eps, C.conj().T)
     # rounding in solve can leave an anti-Hermitian part above herm_eig's
     # tolerance when C is large; symmetrize exactly as herm_eig does
     schur = (schur + schur.conj().T) / 2.0
     schur_residual = float(herm_eig(schur).values[0])
 
-    scale = 1.0 + max(spectral_norm(A), spectral_norm(B), spectral_norm(C))
+    scale = 1.0 + max(norm_a, norm_b, spectral_norm(C))
     eps_ratio = 1e-14 * scale * scale
-    eps_b = 1e-8 * (1.0 + spectral_norm(B))
-    B_eps = B + eps_b * np.eye(m)
+    B_eps = B + 1e-8 * (1.0 + norm_b) * np.eye(m)
 
     n_samples = samples if samples is not None else 10 * max(n, m) ** 2
     rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64)))
 
-    def ratio_at(u, v) -> float:
-        num = abs(inner(C @ u, v)) ** 2
-        den = float(np.real(inner(A @ u, u))) * float(np.real(inner(B @ v, v)))
-        return _ratio(num, den, eps_ratio)
+    # Each row of a draw is one pair (Re u, Im u, Re v, Im v): the same
+    # stream order as drawing the four vectors pair by pair.
+    for start in range(0, n_samples, _PAIRS_PER_DRAW):
+        z = rng.normal(size=(min(_PAIRS_PER_DRAW, n_samples - start), 2 * (n + m)))
+        U = z[:, :n] + 1j * z[:, n : 2 * n]
+        V = z[:, 2 * n : 2 * n + m] + 1j * z[:, 2 * n + m :]
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        ratios = _pair_ratios(A, B, C, U, V, eps_ratio)
+        k = int(np.argmax(ratios))
+        if start == 0 or ratios[k] > best:
+            best, u, v = float(ratios[k]), U[k], V[k]
 
-    best = 0.0
-    best_pair = None
-    for _ in range(n_samples):
-        u = rng.normal(size=n) + 1j * rng.normal(size=n)
-        v = rng.normal(size=m) + 1j * rng.normal(size=m)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        r = ratio_at(u, v)
-        if r > best or best_pair is None:
-            best, best_pair = r, (u, v)
-
-    u, v = best_pair
     for _ in range(20):
-        cu = C @ u
-        if np.linalg.norm(cu) > 0:
-            v_new = np.linalg.solve(B_eps, cu)
-            nv = np.linalg.norm(v_new)
-            if nv > 0:
-                v = v_new / nv
-        cv = C.conj().T @ v
-        if np.linalg.norm(cv) > 0:
-            u_new = np.linalg.solve(A_eps, cv)
-            nu = np.linalg.norm(u_new)
-            if nu > 0:
-                u = u_new / nu
-        r = ratio_at(u, v)
-        if r > best:
-            best = r
+        v = _solve_unit(B_eps, C @ u, v)
+        u = _solve_unit(A_eps, C.conj().T @ v, u)
+        best = max(best, float(_pair_ratios(A, B, C, u[None], v[None], eps_ratio)[0]))
 
     return PositivityVerdict(
         is_psd=is_psd,
@@ -238,9 +239,10 @@ def majorization_equiv(T, S, samples: int = 40, seed: int = 0) -> tuple[BoundRep
     M = S @ S.conj().T - T @ T.conj().T
     m_min = float(herm_eig(M).values[0])
 
-    scale = 1.0 + spectral_norm(T) ** 2 + spectral_norm(S) ** 2
+    norm_t, norm_s = spectral_norm(T), spectral_norm(S)
+    scale = 1.0 + norm_t**2 + norm_s**2
     tol_order = 1e-9 * scale
-    tol_vec = 1e-8 * (1.0 + spectral_norm(T) + spectral_norm(S))
+    tol_vec = 1e-8 * (1.0 + norm_t + norm_s)
 
     rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 1], dtype=np.uint64)))
     xs = rng.normal(size=(samples, k)) + 1j * rng.normal(size=(samples, k))
@@ -263,56 +265,36 @@ def majorization_equiv(T, S, samples: int = 40, seed: int = 0) -> tuple[BoundRep
         x = y / ny
     ascended = max(float(np.max(sq_diffs)), float(np.real(np.vdot(x, Mneg @ x))))
 
-    if m_min >= -tol_order:
-        rep_one = BoundReport(
-            name="majorization-order-to-vectors",
-            lhs=float(np.max(norm_diffs)),
-            rhs=0.0,
-            tol=tol_vec,
-            witness={"premise_holds": True, "min_eig": m_min},
-        )
-    else:
-        rep_one = BoundReport(
-            name="majorization-order-to-vectors",
-            lhs=0.0,
-            rhs=0.0,
-            tol=tol_vec,
-            witness={"premise_holds": False, "min_eig": m_min},
-        )
-
-    if ascended <= tol_order:
-        rep_two = BoundReport(
-            name="majorization-vectors-to-order",
-            lhs=-m_min,
-            rhs=0.0,
-            tol=1e-7 * scale,
-            witness={"premise_holds": True, "max_sq_diff": ascended},
-        )
-    else:
-        rep_two = BoundReport(
-            name="majorization-vectors-to-order",
-            lhs=0.0,
-            rhs=0.0,
-            tol=1e-7 * scale,
-            witness={"premise_holds": False, "max_sq_diff": ascended},
-        )
+    premise_one = m_min >= -tol_order
+    rep_one = BoundReport(
+        name="majorization-order-to-vectors",
+        lhs=float(np.max(norm_diffs)) if premise_one else 0.0,
+        rhs=0.0,
+        tol=tol_vec,
+        witness={"premise_holds": premise_one, "min_eig": m_min},
+    )
+    premise_two = ascended <= tol_order
+    rep_two = BoundReport(
+        name="majorization-vectors-to-order",
+        lhs=-m_min if premise_two else 0.0,
+        rhs=0.0,
+        tol=1e-7 * scale,
+        witness={"premise_holds": premise_two, "max_sq_diff": ascended},
+    )
     return rep_one, rep_two
 
 
-def _check_block_psd(A, B, C) -> tuple[np.ndarray, float, float]:
-    """Assemble [[A, C*], [C, B]] and return it with its minimum eigenvalue
-    and its largest eigenvalue magnitude."""
-    A, B, C = as_matrix(A), as_matrix(B), as_matrix(C)
-    Tb = block2(A, C.conj().T, C, B)
-    w = herm_eig(Tb).values
-    return Tb, float(w[0]), max(abs(float(w[0])), abs(float(w[-1])))
+def _check_block_psd(A, B, C) -> tuple[bool, float, float]:
+    """Assemble [[A, C*], [C, B]] and apply ``linalg.psd_verdict`` to its
+    spectrum: (is_psd, min_eig, norm) with norm the block's spectral norm."""
+    C = as_matrix(C)
+    return psd_verdict(herm_eig(block2(A, C.conj().T, C, B)).values)
 
 
 def corner_norm_report(A, B, C) -> BoundReport:
     """||C|| <= ||[[A, C*], [C, B]]|| / 2 for a PSD block."""
-    Tb, min_eig, _ = _check_block_psd(A, B, C)
-    norm_T = spectral_norm(Tb)
-    if min_eig < -1e-9 * (1.0 + norm_T):
+    is_psd, min_eig, norm_T = _check_block_psd(A, B, C)
+    if not is_psd:
         raise NotPSD(f"block minimum eigenvalue {min_eig:.3e}")
     rhs = norm_T / 2.0
     return BoundReport(
@@ -327,9 +309,8 @@ def compression_bound_report(A, B, C) -> BoundReport:
     construction meets automatically); failing hypotheses raise
     HypothesisUnmet naming the condition.
     """
-    Tb, min_eig, _ = _check_block_psd(A, B, C)
-    norm_T = spectral_norm(Tb)
-    if min_eig < -1e-9 * (1.0 + norm_T):
+    is_psd, min_eig, norm_T = _check_block_psd(A, B, C)
+    if not is_psd:
         raise HypothesisUnmet("block-psd", f"minimum eigenvalue {min_eig:.3e}")
     A, B, C = as_matrix(A), as_matrix(B), as_matrix(C)
     U = polar(C).u

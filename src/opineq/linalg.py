@@ -39,8 +39,8 @@ __all__ = [
     "svd",
     "matrix_abs",
     "matrix_power_psd",
+    "psd_verdict",
     "re_im_parts",
-    "pos_neg_parts",
     "block2",
     "split2",
     "herm2_closed_norm",
@@ -158,6 +158,14 @@ def matrix_abs(T) -> np.ndarray:
     return svd(T).abs_factor()
 
 
+def psd_verdict(values: np.ndarray) -> tuple[bool, float, float]:
+    """The PSD rule on an ascending Hermitian spectrum: (is_psd, min_eig, norm)
+    with norm = max |eigenvalue| and is_psd = min_eig >= -1e-9 * (1 + norm)."""
+    min_eig = float(values[0])
+    norm = max(abs(min_eig), abs(float(values[-1])))
+    return min_eig >= -1e-9 * (1.0 + norm), min_eig, norm
+
+
 def matrix_power_psd(P, alpha: float) -> np.ndarray:
     """P**alpha for PSD P and real alpha >= 0, by spectral calculus.
 
@@ -169,9 +177,9 @@ def matrix_power_psd(P, alpha: float) -> np.ndarray:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     e = herm_eig(P)
     w, V = e.values.copy(), e.vectors
-    nrm = max(abs(float(w[0])), abs(float(w[-1])))
-    if w[0] < -1e-9 * (1.0 + nrm):
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below PSD tolerance")
+    is_psd, min_eig, _ = psd_verdict(w)
+    if not is_psd:
+        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below PSD tolerance")
     w = np.clip(w, 0.0, None)
     w[w <= RANK_RTOL * float(w[-1])] = 0.0
     powered = np.where(w > 0.0, w, 1.0) ** alpha
@@ -186,15 +194,6 @@ def re_im_parts(T) -> tuple[np.ndarray, np.ndarray]:
     re = (T + T.conj().T) / 2.0
     im = (T - T.conj().T) / 2.0j
     return re, im
-
-
-def pos_neg_parts(S) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral positive/negative parts: S = S_plus - S_minus, S_plus S_minus = 0."""
-    e = herm_eig(S)
-    w, V = e.values, e.vectors
-    plus = (V * np.clip(w, 0.0, None)) @ V.conj().T
-    minus = (V * np.clip(-w, 0.0, None)) @ V.conj().T
-    return (plus + plus.conj().T) / 2.0, (minus + minus.conj().T) / 2.0
 
 
 def block2(A, c_star, C, B) -> np.ndarray:

@@ -51,8 +51,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.grid_points < 8:
             raise InvalidSpec("grid_points must be >= 8")
-        if self.tol <= 0:
-            raise InvalidSpec("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidSpec("tol must be positive and finite")
         if self.top_k < 1:
             raise InvalidSpec("top_k must be >= 1")
 
@@ -170,10 +170,8 @@ def rayleigh_radius(T, trials: int = 16, seed: int = 0) -> tuple[float, np.ndarr
     if trials < 1:
         raise InvalidSpec("trials must be >= 1")
     T = as_matrix(T)
-    if T.shape[0] != T.shape[1]:
-        raise DimensionMismatch("numerical radius needs a square matrix")
-    n = T.shape[0]
     A, B = re_im_parts(T)
+    n = T.shape[0]
 
     best_val = -1.0
     best_x = None

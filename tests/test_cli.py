@@ -147,6 +147,8 @@ def test_input_errors(tmp_path, capsys):
     # zero grid or tolerance is invalid, not a request for the defaults
     assert main(["radius", str(good), "--grid", "0"]) == 2
     assert main(["radius", str(good), "--tol", "0"]) == 2
+    assert main(["radius", str(good), "--tol", "nan"]) == 2
+    assert main(["radius", str(good), "--tol", "inf"]) == 2
     assert main(["conjecture", "--dim", "2", "--count", "1", "--grid", "0"]) == 2
     # a negative descent count is invalid, not a request for no descent
     assert main(["conjecture", "--dim", "2", "--count", "2", "--ascend-iters", "-1"]) == 2

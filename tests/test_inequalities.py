@@ -117,6 +117,25 @@ def test_block_positivity_detects_non_psd():
         assert positivity_consistent(v, A, B)
 
 
+def test_block_positivity_ratio_matches_cholesky_oracle():
+    # For PD A = La La*, B = Lb Lb*, substituting u = La^-* x and v = Lb^-* y
+    # turns the ratio into |<Lb^-1 C La^-* x, y>|^2 / (|x|^2 |y|^2), whose
+    # supremum is sigma_max(Lb^-1 C La^-*)^2.
+    for i in range(60):
+        rng = trial_rng(11, i)
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        ga, gb = random_complex(rng, n), random_complex(rng, m)
+        A = ga.conj().T @ ga + 0.1 * np.eye(n)
+        B = gb.conj().T @ gb + 0.1 * np.eye(m)
+        C = random_complex(rng, m, n)
+        La, Lb = np.linalg.cholesky(A), np.linalg.cholesky(B)
+        K = np.linalg.solve(Lb, np.linalg.solve(La, C.conj().T).conj().T)
+        oracle = spectral_norm(K) ** 2
+        ratio = block_positivity(A, B, C, seed=i).condition_ii_max_ratio
+        assert ratio <= oracle * (1 + 1e-12)
+        assert ratio >= oracle * (1 - 1e-2)
+
+
 # ------------------------------------------------------------- majorization
 
 

@@ -14,7 +14,6 @@ from opineq import (
     herm_eig,
     matrix_abs,
     matrix_power_psd,
-    pos_neg_parts,
     re_im_parts,
     spectral_norm,
     split2,
@@ -170,28 +169,6 @@ def test_re_im_parts():
     re, im = re_im_parts(T)
     np.testing.assert_allclose(re, [[1, 0], [0, -3]], atol=1e-15)
     np.testing.assert_allclose(re + 1j * im, T, atol=1e-15)
-
-
-def test_pos_neg_parts():
-    plus, minus = pos_neg_parts(np.diag([3.0, -2.0]))
-    np.testing.assert_allclose(plus, np.diag([3.0, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(minus, np.diag([0.0, 2.0]), atol=1e-12)
-
-    rng = np.random.default_rng(6)
-    G = random_complex(rng, 3)
-    P = G.conj().T @ G
-    plus, minus = pos_neg_parts(P)
-    np.testing.assert_allclose(plus, P, atol=1e-10)
-    assert spectral_norm(minus) <= 1e-10 * (1 + spectral_norm(P))
-
-    G = random_complex(rng, 4)
-    S = G + G.conj().T
-    plus, minus = pos_neg_parts(S)
-    assert fro_norm(plus - minus - S) <= 1e-10 * (1 + fro_norm(S))
-    assert spectral_norm(plus @ minus) <= 1e-10 * (1 + spectral_norm(S) ** 2)
-    assert max(spectral_norm(plus), spectral_norm(minus)) == pytest.approx(
-        spectral_norm(S), abs=1e-10
-    )
 
 
 def test_block2_examples_and_roundtrip():

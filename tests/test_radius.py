@@ -7,6 +7,7 @@ from opineq import (
     DimensionMismatch,
     InvalidSpec,
     NonFinite,
+    NotSquare,
     OpineqError,
     SweepConfig,
     f_theta,
@@ -234,8 +235,23 @@ def test_sweep_config_validation():
         SweepConfig(grid_points=4)
     with pytest.raises(InvalidSpec):
         SweepConfig(tol=0.0)
+    # a non-finite tolerance would stop refinement after one step (inf)
+    # or run every bracket to the step cap (nan)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(InvalidSpec):
+            SweepConfig(tol=tol)
     with pytest.raises(InvalidSpec):
         SweepConfig(top_k=0)
+
+
+def test_non_square_raises_not_square():
+    T = np.ones((2, 3))
+    with pytest.raises(NotSquare):
+        numerical_radius(T)
+    with pytest.raises(NotSquare):
+        f_theta(T, 0.0)
+    with pytest.raises(NotSquare):
+        rayleigh_radius(T)
 
 
 def test_sweep_deterministic():
