@@ -11,7 +11,6 @@ from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
     HypothesisUnmet,
-    HypothesisViolated,
     IdentityMismatch,
     InvalidSpec,
     MatrixFormatError,
@@ -47,7 +46,6 @@ from .linalg import (
     SvdFactors,
     block2,
     fro_norm,
-    herm2_closed_norm,
     herm_eig,
     inner,
     matrix_abs,

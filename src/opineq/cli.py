@@ -49,7 +49,8 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_radius(args) -> int:
     T = load_matrix(args.matrix)
     result = numerical_radius(T, _sweep_config(args))
-    rows = [("omega", result.omega), ("theta_star", result.theta_star)]
+    rows = [("omega", result.omega), ("theta_star", result.theta_star),
+            ("certified", result.certified), ("margin", result.margin)]
     rows += [
         (f"witness_{k}", complex_to_str(z)) for k, z in enumerate(result.witness)
     ]
@@ -147,12 +148,13 @@ def cmd_conjecture(args) -> int:
     spec = EnsembleSpec(
         kind=args.kind, dim=args.dim, count=args.count, seed=args.seed
     )
-    cfg = SweepConfig(grid_points=240 if args.grid is None else args.grid)
+    cfg = SweepConfig(grid_points=16 if args.grid is None else args.grid)
     result = conjecture_search(spec, ascend_iters=args.ascend_iters, cfg=cfg)
     rows = [
         ("min_slack", result.min_slack),
         ("trials", result.trials),
         ("violated", result.violated),
+        ("certified", result.certified),
     ]
     # Reference slacks on the golden half-diff table rows, as a calibration
     # check that the searched quantity is computed correctly.
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, default="integer-complex")
     p.add_argument("--ascend-iters", type=int, default=10)
     p.add_argument("--grid", type=int, default=None,
-                   help="sweep grid for the campaign (default 240)")
+                   help="sweep grid for the campaign (default 16)")
     p.add_argument("--witness-out", default=None,
                    help="write the argmin matrix JSON to this file")
     add_format(p)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 
-KINDS = ("integer-complex", "integer-real", "gaussian-complex", "gram-psd-block")
+KINDS = ("integer-complex", "integer-real", "gaussian-complex", "gram-psd-block", "unit-disc")
 
 __all__ = ["KINDS", "EnsembleSpec", "trial_rng", "sample_matrix", "generate"]
 
@@ -25,7 +25,8 @@ class EnsembleSpec:
     integer-complex draws Re and Im independently uniform on the integer
     range; integer-real leaves Im = 0; gaussian-complex uses standard
     normal components; gram-psd-block yields G* G for a 2*dim gaussian G
-    (a PSD block matrix ready for corner extraction).
+    (a PSD block matrix ready for corner extraction); unit-disc draws
+    every entry uniformly from the closed unit disc.
     """
 
     kind: str
@@ -66,6 +67,8 @@ def sample_matrix(rng: np.random.Generator, kind: str, dim: int,
     if kind == "gram-psd-block":
         g = rng.normal(size=(2 * dim, 2 * dim)) + 1j * rng.normal(size=(2 * dim, 2 * dim))
         return g.conj().T @ g
+    if kind == "unit-disc":
+        return unit_disc_matrix(rng, dim)
     raise InvalidSpec(f"unknown ensemble kind {kind!r}")
 
 

@@ -33,10 +33,6 @@ class AlphaOutOfRange(OpineqError):
     pass
 
 
-class HypothesisViolated(OpineqError):
-    pass
-
-
 class HypothesisUnmet(OpineqError):
     """A conditional bound's hypothesis fails for the given inputs.
 

@@ -59,7 +59,8 @@ def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _gram_blocks(rng, dim, kind, int_range):
-    g = sample_matrix(rng, kind, 2 * dim, int_range)
+    # gram-psd-block already returns a PSD 2*dim block for size dim
+    g = sample_matrix(rng, kind, dim if kind == "gram-psd-block" else 2 * dim, int_range)
     if kind != "gram-psd-block":
         g = g.conj().T @ g
     A, _, C, B = split2(g, dim)
@@ -139,7 +140,7 @@ def _suite_majorization(rng, spec, index, cfg):
     S = sample_matrix(rng, spec.kind, spec.dim, spec.int_range)
     if index % 2 == 0:
         # contraction construction: T T* <= S S* holds by design
-        d = rng.uniform(0.0, 1.0, size=spec.dim)
+        d = rng.uniform(0.0, 1.0, size=S.shape[1])
         T = S @ np.diag(d).astype(np.complex128)
     else:
         T = sample_matrix(rng, spec.kind, spec.dim, spec.int_range)

@@ -8,14 +8,12 @@ functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    HypothesisViolated,
     NoConvergence,
     NonFinite,
     NotHermitian,
@@ -43,7 +41,6 @@ __all__ = [
     "re_im_parts",
     "block2",
     "split2",
-    "herm2_closed_norm",
 ]
 
 
@@ -224,14 +221,3 @@ def split2(T, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         T[n:, :n].copy(),
         T[n:, n:].copy(),
     )
-
-
-def herm2_closed_norm(a: float, b: float, c: complex) -> float:
-    """Closed-form norm of the 2x2 Hermitian matrix [[a, conj(c)], [c, b]].
-
-    (a + b + sqrt((a-b)^2 + 4|c|^2)) / 2, valid as the operator norm
-    whenever a + b >= 0 (then the top eigenvalue dominates in magnitude).
-    """
-    if a + b < 0:
-        raise HypothesisViolated(f"requires a + b >= 0, got {a + b}")
-    return (a + b + math.sqrt((a - b) ** 2 + 4.0 * abs(c) ** 2)) / 2.0

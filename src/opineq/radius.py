@@ -11,7 +11,7 @@ of lambda_max equals the sup of the norm (send theta to theta + pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .linalg import as_matrix, block2, re_im_parts, spectral_norm
 TWO_PI = 2.0 * math.pi
 # Bisection alone shrinks any bracket below 1e-16 in 55 steps; the cap guards termination.
 _MAX_STEPS = 64
+# Level-set test: relative level margin, unit-circle tolerance, Newton restarts,
+# and an irrational Moebius parameter (1/a is no root of structured inputs).
+_CERT_RTOL, _UNIMODULAR_TOL, _RESTARTS, _MOBIUS = 1e-9, 1e-6, 4, math.sqrt(2.0) - 1.0
 
 __all__ = [
     "SweepConfig",
@@ -39,9 +42,7 @@ class SweepConfig:
 
     A uniform grid locates candidate maxima; the top_k bracketed local
     maxima are refined by safeguarded Newton steps down to angle
-    resolution ``tol``.  Multiple brackets are refined because the sweep
-    function can have several local maxima, so single-start refinement
-    is unsafe.
+    resolution ``tol``, and a level-set test finds any peak they missed.
     """
 
     grid_points: int = 720
@@ -63,21 +64,23 @@ DEFAULT_SWEEP = SweepConfig()
 @dataclass(frozen=True)
 class SweepResult:
     """Radius value, the maximizing angle in [0, 2pi), and a unit witness
-    vector with |<T witness, witness>| equal to the radius."""
+    vector with |<T witness, witness>| equal to the radius.
+
+    ``certified``: the level-set test put the true value in
+    [omega, omega + margin]; otherwise ``margin`` is inf.
+    """
 
     omega: float
     theta_star: float
     witness: np.ndarray
+    certified: bool
+    margin: float
 
 
-def _max_on_circle(
-    A: np.ndarray, B: np.ndarray, C: np.ndarray, cfg: SweepConfig
-) -> tuple[float, float]:
-    """Maximize f(theta) = lambda_max(C + cos(theta) A - sin(theta) B).
+def _refine(A, B, C, t, lo, hi, tol, best):
+    """Safeguarded Newton steps from angles t inside brackets (lo, hi).
 
-    One batched eigvalsh over a uniform grid brackets the top_k local
-    maxima; safeguarded Newton steps refine them together, one batched
-    eigh per step over the brackets still active.  With
+    One batched eigh per step over the brackets still active.  With
     H' = -sin(theta) A - cos(theta) B and the top eigenpair (lam, v),
         f' = v* H' v,  f'' = -lam + v* C v + 2 sum_j |v_j* H' v|^2 / (lam - lam_j)
     over the eigenpairs j below the top (Kato's perturbation series); a
@@ -85,8 +88,72 @@ def _max_on_circle(
     Each step shrinks its bracket by the sign of f'.  A step that leaves
     the bracket, or a non-finite or non-negative f'', bisects instead.  A
     bracket stops when its step or width is at most ``tol`` or when |f'|
-    is within 4 ulps of max |lam|.  Returns (theta_star, value), the
-    largest eigensolver value seen, the grid's included.
+    is within 4 ulps of max |lam|.  Returns ``best``, a (theta, value,
+    vector) triple, raised to the largest eigenpair seen.
+    """
+    for _ in range(_MAX_STEPS):
+        c, s = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
+        lam, V = np.linalg.eigh(C + c * A - s * B)
+        top, v = lam[:, -1], V[:, :, -1:]
+        k = top.argmax()
+        if best is None or top[k] > best[1]:
+            best = float(t[k]), float(top[k]), V[k, :, -1]
+        # w[:, j] = -v_j* H' v for every eigenvector v_j; the last is -f'.
+        vh = V.conj().swapaxes(1, 2)
+        w = (vh @ ((s * A + c * B) @ v))[:, :, 0]
+        d1 = -w[:, -1].real
+        gap = top[:, None] - lam[:, :-1]
+        gap[gap <= 0.0] = np.inf
+        terms = np.abs(w[:, :-1]) ** 2 / gap
+        d2 = (vh[:, -1] * (C @ v)[:, :, 0]).sum(axis=1).real - top + 2.0 * terms.sum(axis=1)
+        newton = t - d1 / np.where(d2 < 0.0, d2, -np.inf)  # no step unless f'' < 0
+        lo, hi = np.where(d1 > 0.0, t, lo), np.where(d1 > 0.0, hi, t)
+        nxt = np.where((newton > lo) & (newton < hi), newton, (lo + hi) / 2.0)
+        flat = np.abs(d1) <= 4.0 * np.finfo(float).eps * np.abs(lam).max(axis=1)
+        going = ~flat & (np.abs(nxt - t) > tol) & (hi - lo > tol)
+        if not going.any():
+            return best
+        t, lo, hi = nxt[going], lo[going], hi[going]
+    return best
+
+
+def _angles_above(A, B, C, value, eta):
+    """Angles where f crosses r = value + eta; empty certifies max f < r.
+
+    H(theta) - r is singular at z = exp(1j*theta) iff Q(z) = z^2 P + z (C - r) + P*
+    is, with P = (A + iB)/2 (He & Watson, IMA J. Numer. Anal. 1997).  The
+    Moebius map z = (mu + a)/(1 + a mu) keeps the unit circle and makes the
+    leading coefficient a^2 Q(1/a) invertible even for singular P.  A
+    near-unimodular eigenvalue mu of the companion matrix counts only where
+    f > value + eta/2, which drops the false alarms of a nearly constant f.
+    Returns None when the pencil cannot be formed.
+    """
+    a, n = _MOBIUS, A.shape[0]
+    P, D = (A + 1j * B) / 2.0, C - (value + eta) * np.eye(n)
+    rhs = np.hstack([a * a * P + a * D + P.conj().T, 2.0 * a * A + (1.0 + a * a) * D])
+    companion = np.eye(2 * n, k=n, dtype=complex)
+    try:
+        companion[n:] = -np.linalg.solve(P + a * D + a * a * P.conj().T, rhs)
+        mu = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError:
+        return None
+    mu = mu[np.abs(np.abs(mu) - 1.0) <= _UNIMODULAR_TOL]
+    t = np.angle((mu + a) / (1.0 + a * mu))
+    if t.size:
+        c, s = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
+        t = np.sort(t[np.linalg.eigvalsh(C + c * A - s * B)[:, -1] > value + eta / 2.0])
+    return t
+
+
+def _max_on_circle(A: np.ndarray, B: np.ndarray, C: np.ndarray, cfg: SweepConfig) -> SweepResult:
+    """Maximize f(theta) = lambda_max(C + cos(theta) A - sin(theta) B).
+
+    One batched eigvalsh over a uniform grid brackets the top_k local
+    maxima; ``_refine`` starts each at the vertex of its grid parabola.
+    The level-set test then certifies the largest value seen or gives the
+    crossing angles, each of which restarts Newton within its neighbours
+    (Mengi & Overton, IMA J. Numer. Anal. 2005), for at most _RESTARTS
+    rounds.  The witness is the raw top eigenvector at theta_star.
     """
     # A power-of-two scale keeps the squares in f'' finite at extreme
     # input scales and multiplies back exactly.
@@ -100,34 +167,23 @@ def _max_on_circle(
     grid = c * A - s * B
     grid += C  # in place: a third stack of n x n matrices would raise peak memory
     vals = np.linalg.eigvalsh(grid)[:, -1]
-    locmax = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
-    picks = locmax[np.argsort(vals[locmax], kind="stable")[::-1]][: cfg.top_k]
-    theta_star, value = float(thetas[picks[0]]), float(vals[picks[0]])  # the grid maximum
-
-    t = thetas[picks]
-    lo, hi = t - h, t + h
-    for _ in range(_MAX_STEPS):
-        c, s = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
-        lam, V = np.linalg.eigh(C + c * A - s * B)
-        top, v = lam[:, -1], V[:, :, -1:]
-        k = int(np.argmax(top))
-        if top[k] > value:
-            theta_star, value = float(t[k]), float(top[k])
-        # w[:, j] = v_j* H' v for every eigenvector v_j; the last is f'.
-        w = (V.conj().transpose(0, 2, 1) @ ((-s * A - c * B) @ v))[:, :, 0]
-        d1 = w[:, -1].real
-        gap = top[:, None] - lam[:, :-1]
-        terms = np.divide(np.abs(w[:, :-1]) ** 2, gap, out=np.zeros_like(gap), where=gap > 0.0)
-        d2 = (v.conj().transpose(0, 2, 1) @ C @ v)[:, 0, 0].real - top + 2.0 * terms.sum(axis=1)
-        newton = t - np.divide(d1, d2, out=np.full_like(d1, np.inf), where=d2 < 0.0)
-        lo, hi = np.where(d1 > 0.0, t, lo), np.where(d1 > 0.0, hi, t)
-        nxt = np.where((newton > lo) & (newton < hi), newton, (lo + hi) / 2.0)
-        flat = np.abs(d1) <= 4.0 * np.finfo(float).eps * np.abs(lam).max(axis=1)
-        going = ~(flat | (np.abs(nxt - t) <= cfg.tol) | (hi - lo <= cfg.tol))
-        if not going.any():
+    left, right = np.concatenate([vals[-1:], vals[:-1]]), np.concatenate([vals[1:], vals[:1]])
+    locmax = np.flatnonzero((vals >= left) & (vals >= right))
+    k = locmax[np.argsort(vals[locmax], kind="stable")[::-1]][: cfg.top_k]
+    bend = left[k] - 2.0 * vals[k] + right[k]
+    vertex = np.divide(left[k] - right[k], bend, out=np.zeros_like(bend), where=bend < 0.0)
+    best = _refine(A, B, C, thetas[k] + 0.5 * h * vertex, thetas[k] - h, thetas[k] + h, cfg.tol, None)
+    for restart in range(_RESTARTS + 1):
+        eta = _CERT_RTOL * (1.0 + abs(best[1]))
+        t = _angles_above(A, B, C, best[1], eta)
+        if t is None or t.size == 0 or restart == _RESTARTS:
             break
-        t, lo, hi = nxt[going], lo[going], hi[going]
-    return theta_star % TWO_PI, value * scale
+        lo = np.concatenate([t[-1:] - TWO_PI, t[:-1]])
+        hi = np.concatenate([t[1:], t[:1] + TWO_PI])
+        best = _refine(A, B, C, t, lo, hi, cfg.tol, best)
+    certified = t is not None and t.size == 0
+    return SweepResult(omega=best[1] * scale, theta_star=best[0] % TWO_PI, witness=best[2],
+                       certified=certified, margin=eta * scale if certified else math.inf)
 
 
 def f_theta(T, theta: float) -> float:
@@ -147,15 +203,12 @@ def _fix_phase(x: np.ndarray) -> np.ndarray:
 
 
 def numerical_radius(T, cfg: SweepConfig | None = None) -> SweepResult:
-    """Numerical radius by grid sweep plus Newton refinement."""
+    """Numerical radius by grid sweep, Newton refinement and the level-set certificate."""
     cfg = cfg or DEFAULT_SWEEP
     T = as_matrix(T)
     A, B = re_im_parts(T)
-    theta, value = _max_on_circle(A, B, np.zeros_like(A), cfg)
-    H = math.cos(theta) * A - math.sin(theta) * B
-    _, V = np.linalg.eigh(H)
-    witness = _fix_phase(V[:, -1])
-    return SweepResult(omega=value, theta_star=theta, witness=witness)
+    result = _max_on_circle(A, B, np.zeros_like(A), cfg)
+    return replace(result, witness=_fix_phase(result.witness))
 
 
 def rayleigh_radius(T, trials: int = 16, seed: int = 0) -> tuple[float, np.ndarray]:
@@ -217,7 +270,7 @@ def sup_theta_norm(X, Y, cfg: SweepConfig | None = None) -> float:
     if X.shape != Y.shape:
         raise DimensionMismatch(f"shapes {X.shape} and {Y.shape} differ")
     A, B, C = (_off_diag(M, M) for M in (Y, -1j * Y, X))
-    return _max_on_circle(A, B, C, cfg)[1]
+    return _max_on_circle(A, B, C, cfg).omega
 
 
 def off_diag_radius(X, Y, cfg: SweepConfig | None = None) -> float:

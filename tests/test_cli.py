@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from opineq import cli
 from opineq.cli import main
 from opineq.ensembles import trial_rng
 from opineq.fuzz import MATRIX_SUITE_NAMES, SUITES
@@ -24,6 +25,8 @@ def test_radius_command(matrix_file, capsys):
     values = dict(line.split(",", 1) for line in lines[1:])
     assert float(values["omega"]) == pytest.approx(16.4629, abs=5e-3)
     assert "witness_0" in values
+    assert values["certified"] == "true"
+    assert 0.0 < float(values["margin"]) <= 1e-8 * float(values["omega"])
 
 
 def test_radius_deterministic_output(matrix_file, capsys):
@@ -131,6 +134,36 @@ def test_conjecture_command(capsys):
     out = capsys.readouterr().out
     assert "min_slack," in out
     assert "golden_slack_hd-1," in out
+
+
+def test_conjecture_runs_on_the_coarse_certified_grid(monkeypatch, capsys):
+    grids = []
+    search = cli.conjecture_search
+    monkeypatch.setattr(cli, "conjecture_search",
+                        lambda spec, **kw: grids.append(kw["cfg"].grid_points) or search(spec, **kw))
+    assert main(["conjecture", "--dim", "2", "--count", "20"]) == 0
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.strip().split("\r\n")[1:])
+    assert grids == [16]
+    assert rows["certified"] == "true" and rows["violated"] == "false"
+    assert main(["conjecture", "--help"]) == 0
+    assert "(default 16)" in " ".join(capsys.readouterr().out.split())
+
+
+def test_fuzz_gram_kind_majorization_runs(capsys):
+    # the gram kind yields a 2*dim matrix; the contraction must match it
+    assert main(["fuzz", "--suite", "majorization", "--dim", "3",
+                 "--kind", "gram-psd-block", "--count", "4"]) == 0
+    row = capsys.readouterr().out.strip().split("\r\n")[1].split(",")
+    assert row[:5] == ["majorization", "4", "8", "0", "0"]
+
+
+def test_fuzz_gram_kind_compression_tests_square_corners(capsys):
+    # even trials draw the documented 2*dim gram block, so dim x dim corners
+    # meet the range hypothesis; odd trials are rank-deficient by design
+    assert main(["fuzz", "--suite", "compression", "--dim", "3",
+                 "--kind", "gram-psd-block", "--count", "20"]) == 0
+    row = capsys.readouterr().out.strip().split("\r\n")[1].split(",")
+    assert row[:5] == ["compression", "20", "10", "0", "10"]
 
 
 def test_input_errors(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opineq import EnsembleSpec, InvalidSpec, generate
-from opineq.ensembles import sample_matrix, trial_rng, unit_disc_matrix
+from opineq.ensembles import KINDS, sample_matrix, trial_rng, unit_disc_matrix
 
 
 def test_deterministic_for_fixed_seed():
@@ -66,3 +66,11 @@ def test_invalid_specs():
         EnsembleSpec(kind="integer-real", dim=2, count=0, seed=0)
     with pytest.raises(InvalidSpec):
         EnsembleSpec(kind="integer-real", dim=2, count=1, seed=0, int_range=(3, 1))
+
+
+def test_unit_disc_is_an_ensemble_kind():
+    assert "unit-disc" in KINDS
+    T = sample_matrix(trial_rng(5, 1), "unit-disc", 4)
+    np.testing.assert_array_equal(T, unit_disc_matrix(trial_rng(5, 1), 4))
+    spec = EnsembleSpec(kind="unit-disc", dim=3, count=2, seed=4)
+    assert all(np.abs(M).max() <= 1.0 for M in generate(spec))

@@ -5,12 +5,10 @@ import pytest
 
 from opineq import (
     DimensionMismatch,
-    HypothesisViolated,
     NotHermitian,
     NotPSD,
     block2,
     fro_norm,
-    herm2_closed_norm,
     herm_eig,
     matrix_abs,
     matrix_power_psd,
@@ -198,17 +196,3 @@ def test_block_diagonal_when_corner_zero():
     C = np.zeros((2, 2))
     T = block2(A, C.conj().T, C, B)
     np.testing.assert_allclose(T, np.diag([1.0, 1.0, 2.0, 2.0]), atol=0)
-
-
-def test_herm2_closed_norm():
-    assert herm2_closed_norm(0, 0, 1) == pytest.approx(1.0)
-    assert herm2_closed_norm(2, 0, 1) == pytest.approx(1 + math.sqrt(2))
-    rng = np.random.default_rng(10)
-    for _ in range(200):
-        a, b = rng.uniform(0, 5, size=2)
-        c = complex(rng.normal(), rng.normal())
-        M = np.array([[a, np.conj(c)], [c, b]])
-        expect = max(abs(herm_eig(M).values[0]), abs(herm_eig(M).values[-1]))
-        assert herm2_closed_norm(a, b, c) == pytest.approx(expect, abs=1e-12)
-    with pytest.raises(HypothesisViolated):
-        herm2_closed_norm(-2, 1, 0)

@@ -17,6 +17,7 @@ from opineq import (
     spectral_norm,
     sup_theta_norm,
 )
+from opineq import radius
 
 
 def random_complex(rng, n, m=None):
@@ -104,9 +105,12 @@ def test_radius_dominates_hermitian_parts():
 
 
 def test_radius_nilpotent_shift_closed_form():
+    # f(theta) is constant for the shift, so every angle is a maximizer
+    # and the level-set pencil sits next to a disc-shaped range.
     for n in range(2, 9):
-        w = numerical_radius(np.eye(n, k=1)).omega
-        assert abs(w - math.cos(math.pi / (n + 1))) <= 1e-13
+        res = numerical_radius(np.eye(n, k=1))
+        assert abs(res.omega - math.cos(math.pi / (n + 1))) <= 1e-13
+        assert res.certified and 0.0 < res.margin <= 1e-8
 
 
 def test_radius_top_eigenvalue_repeated_for_every_angle():
@@ -261,3 +265,65 @@ def test_sweep_deterministic():
     b = numerical_radius(T)
     assert a.omega == b.omega and a.theta_star == b.theta_star
     np.testing.assert_array_equal(a.witness, b.witness)
+
+
+def test_singular_repeated_and_extreme_scale_inputs_are_certified():
+    rng = np.random.default_rng(15)
+    S = np.eye(3, k=1)
+    G = random_complex(rng, 3)
+    u, v = random_complex(rng, 4, 1), random_complex(rng, 4, 1)
+    base = [np.kron(np.eye(2), S), np.kron(S, np.eye(3)), np.kron(np.eye(2), G),
+            np.kron(G, np.eye(3)), u @ v.conj().T, np.outer([1, 2, 3], [1, 0, 1])]
+    for T in base:
+        w = numerical_radius(T).omega
+        for c in (1.0, 1e-300, 1e-150, 1e150, 1e300):
+            res = numerical_radius(c * T)
+            assert res.certified, (T, c)
+            assert res.omega == pytest.approx(c * w, rel=1e-12)
+            assert res.margin <= 1e-8 * res.omega
+
+
+def test_coarse_grid_misses_are_found_by_restarts(monkeypatch):
+    # Eight grid points and one bracket miss the global peak on about one
+    # draw in twenty; the level-set test must find each and restart Newton.
+    refine, calls = radius._refine, []
+    monkeypatch.setattr(radius, "_refine", lambda *a: calls.append(1) or refine(*a))
+    coarse = SweepConfig(grid_points=8, top_k=1)
+    fine = SweepConfig(grid_points=5760, top_k=8)
+    rng = np.random.default_rng(16)
+    restarted = 0
+    for i in range(400):
+        T = random_complex(rng, 6 if i % 2 else 12)
+        calls.clear()
+        res = numerical_radius(T, coarse)
+        restarted += len(calls) > 1
+        assert res.certified
+        assert res.omega == pytest.approx(numerical_radius(T, fine).omega, rel=1e-12)
+    assert restarted >= 1
+
+
+def test_level_test_drops_near_circle_roots_below_the_level(monkeypatch):
+    # A hair above a peak, its two crossings become a pair of roots off the
+    # unit circle by about sqrt(2 eta / |f''|), inside the unimodular
+    # tolerance; f at their angles, below the level, must drop them.
+    eigvalsh, batches = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: batches.append(len(M)) or eigvalsh(M))
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        T = random_complex(rng, 4)
+        omega = numerical_radius(T).omega
+        A, B = (T + T.conj().T) / 2, (T - T.conj().T) / 2j
+        batches.clear()
+        assert radius._angles_above(A, B, np.zeros_like(A), omega, 1e-14 * omega).size == 0
+        assert batches and batches[0] >= 2
+
+
+def test_sup_theta_norm_and_off_diag_radius_are_certified(sweeps):
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        X, Y = random_complex(rng, 3), random_complex(rng, 3)
+        sup_theta_norm(X, Y)
+        off_diag_radius(X, Y)
+    # each off_diag_radius runs one sup_theta_norm sweep and one radius sweep
+    assert len(sweeps) == 60
+    assert all(r.certified and r.margin <= 1e-8 * r.omega for r in sweeps)
