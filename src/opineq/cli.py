@@ -159,7 +159,7 @@ def cmd_conjecture(args) -> int:
     # Reference slacks on the golden half-diff table rows, as a calibration
     # check that the searched quantity is computed correctly.
     for label, T, (half_diff_ref, radius_ref) in HALF_DIFF_ROWS:
-        rows.append((f"golden_slack_{label}", half_diff_slack(T)))
+        rows.append((f"golden_slack_{label}", half_diff_slack(T, cfg)))
         rows.append((f"golden_slack_{label}_ref", radius_ref - half_diff_ref))
     _emit(render_table(("quantity", "value"), rows, args.format), args.out)
     if args.witness_out or result.violated:

@@ -14,15 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import radius
 from .ensembles import EnsembleSpec, generate, trial_rng
 from .errors import InvalidSpec
 from .inequalities import _half_diff_matrices
-from .linalg import spectral_norm
+from .linalg import re_im_parts, spectral_norm
 from .radius import SweepConfig, numerical_radius
 
 __all__ = ["ConjectureResult", "half_diff_slack", "conjecture_search"]
 
 VIOLATION_RTOL = 1e-7
+SCAN_STACK_BYTES = 1 << 17  # per scan chunk: bytes of kernel grid stack, grid * n * n * 16 per matrix
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,18 @@ def half_diff_slack(T, cfg: SweepConfig | None = None) -> float:
     """w(T) - w((|T| - |T*|)/2 + i Re T); negative means counterexample."""
     lhs = numerical_radius(_half_diff_matrices(T)["plus-re"], cfg).omega
     return numerical_radius(T, cfg).omega - lhs
+
+
+def _scan(spec: EnsembleSpec, cfg: SweepConfig) -> list[tuple[float, np.ndarray]]:
+    """(half_diff_slack(T, cfg), T) per draw; a chunk is one SVD pair and one kernel call."""
+    draws, scored = list(generate(spec)), []
+    size = max(1, SCAN_STACK_BYTES // (2 * cfg.grid_points * draws[0].size * 16))
+    for i in range(0, len(draws), size):
+        T = np.stack(draws[i : i + size])
+        A, B = re_im_parts(np.concatenate([T, _half_diff_matrices(T)["plus-re"]]))
+        res = radius._max_on_circle(A, B, np.zeros_like(A), cfg)
+        scored += [(t.omega - s.omega, M) for t, s, M in zip(res, res[len(T) :], draws[i : i + size])]
+    return scored
 
 
 def conjecture_search(
@@ -56,11 +70,8 @@ def conjecture_search(
     if ascend_iters < 0:
         raise InvalidSpec(f"ascend_iters must be >= 0, got {ascend_iters}")
     cfg = cfg or SweepConfig()
-    scored: list[tuple[float, np.ndarray]] = []
-    trials = 0
-    for T in generate(spec):
-        scored.append((half_diff_slack(T, cfg), T))
-        trials += 1
+    scored = _scan(spec, cfg)
+    trials = len(scored)
     scored.sort(key=lambda pair: pair[0])
     candidates = scored[: max(1, keep)]
 

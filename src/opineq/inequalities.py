@@ -383,9 +383,9 @@ def _abs_pair(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _half_diff_matrices(T) -> dict[str, np.ndarray]:
     """(|T| - |T*|)/2 +/- i Re T and the Im T variants, keyed plus-re,
-    minus-re, plus-im and minus-im."""
+    minus-re, plus-im and minus-im; of each matrix of a (k, n, n) stack."""
     T = np.asarray(T)
-    M = (matrix_abs(T) - matrix_abs(T.conj().T)) / 2.0
+    M = (matrix_abs(T) - matrix_abs(T.conj().swapaxes(-1, -2))) / 2.0
     reT, imT = re_im_parts(T)
     return {
         "plus-re": M + 1j * reT,

@@ -56,8 +56,13 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _as_stack(T) -> np.ndarray:
+    """A (k, m, n) stack as complex128 as it is; anything else through as_matrix."""
+    return np.asarray(T, dtype=np.complex128) if np.ndim(T) == 3 else as_matrix(T)
+
+
 def _require_square(T: np.ndarray) -> np.ndarray:
-    if T.shape[0] != T.shape[1]:
+    if T.shape[-2] != T.shape[-1]:
         raise NotSquare(f"expected a square matrix, got shape {T.shape}")
     return T
 
@@ -102,7 +107,7 @@ class HermEigen:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """T = left diag(sigmas) right*, with sigmas descending and >= 0."""
+    """T = left diag(sigmas) right*, with sigmas descending and >= 0 (stacked for a stack of T)."""
 
     left: np.ndarray
     sigmas: np.ndarray
@@ -111,8 +116,8 @@ class SvdFactors:
     def abs_factor(self) -> np.ndarray:
         """|T| = V diag(sigma) V*, square of size cols(T)."""
         V = self.right
-        R = (V * self.sigmas) @ V.conj().T
-        return (R + R.conj().T) / 2.0
+        R = (V * self.sigmas[..., None, :]) @ V.conj().swapaxes(-1, -2)
+        return (R + R.conj().swapaxes(-1, -2)) / 2.0
 
 
 def herm_eig(H) -> HermEigen:
@@ -137,20 +142,20 @@ def herm_eig(H) -> HermEigen:
 
 
 def svd(T) -> SvdFactors:
-    """Thin singular value decomposition T = W diag(s) V*."""
-    T = as_matrix(T)
+    """Thin singular value decomposition T = W diag(s) V* (of each matrix of a (k, m, n) stack)."""
+    T = _as_stack(T)
     try:
         W, s, Vh = np.linalg.svd(T, full_matrices=False)
     except np.linalg.LinAlgError as e:
         raise NoConvergence(str(e)) from e
-    return SvdFactors(left=W, sigmas=s, right=Vh.conj().T)
+    return SvdFactors(left=W, sigmas=s, right=Vh.conj().swapaxes(-1, -2))
 
 
 def matrix_abs(T) -> np.ndarray:
     """|T| = (T*T)^(1/2), the PSD square-root factor of T.
 
     Built from the SVD: |T| = V diag(sigma) V*.  Works for rectangular T
-    (the result is square of size cols(T)).
+    (the result is square of size cols(T)) and stacks of matrices.
     """
     return svd(T).abs_factor()
 
@@ -186,11 +191,11 @@ def matrix_power_psd(P, alpha: float) -> np.ndarray:
 
 
 def re_im_parts(T) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian parts (Re T, Im T) with T = Re T + 1j * Im T."""
-    T = _require_square(as_matrix(T))
-    re = (T + T.conj().T) / 2.0
-    im = (T - T.conj().T) / 2.0j
-    return re, im
+    """Hermitian parts (Re T, Im T) with T = Re T + 1j * Im T, of each matrix
+    of a (k, n, n) stack."""
+    T = _require_square(_as_stack(T))
+    Ts = T.conj().swapaxes(-1, -2)
+    return (T + Ts) / 2.0, (T - Ts) / 2.0j
 
 
 def block2(A, c_star, C, B) -> np.ndarray:

@@ -11,7 +11,7 @@ of lambda_max equals the sup of the norm (send theta to theta + pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .linalg import as_matrix, block2, re_im_parts, spectral_norm
 TWO_PI = 2.0 * math.pi
 # Bisection alone shrinks any bracket below 1e-16 in 55 steps; the cap guards termination.
 _MAX_STEPS = 64
+_ULPS4 = 4.0 * np.finfo(float).eps  # a bracket stops where |f'| <= _ULPS4 max |lam|
 # Level-set test: relative level margin, unit-circle tolerance, Newton restarts,
 # and an irrational Moebius parameter (1/a is no root of structured inputs).
 _CERT_RTOL, _UNIMODULAR_TOL, _RESTARTS, _MOBIUS = 1e-9, 1e-6, 4, math.sqrt(2.0) - 1.0
@@ -77,8 +78,8 @@ class SweepResult:
     margin: float
 
 
-def _refine(A, B, C, t, lo, hi, tol, best):
-    """Safeguarded Newton steps from angles t inside brackets (lo, hi).
+def _refine(M, own, t, lo, hi, tol, owners):
+    """Safeguarded Newton steps from angles t in brackets (lo, hi) on matrices own of M.
 
     One batched eigh per step over the brackets still active.  With
     H' = -sin(theta) A - cos(theta) B and the top eigenpair (lam, v),
@@ -88,16 +89,16 @@ def _refine(A, B, C, t, lo, hi, tol, best):
     Each step shrinks its bracket by the sign of f'.  A step that leaves
     the bracket, or a non-finite or non-negative f'', bisects instead.  A
     bracket stops when its step or width is at most ``tol`` or when |f'|
-    is within 4 ulps of max |lam|.  Returns ``best``, a (theta, value,
-    vector) triple, raised to the largest eigenpair seen.
+    is within 4 ulps of max |lam|.  Returns (theta, value, vector) of the
+    first largest eigenpair visited for each of the sorted ``owners``.
     """
+    M, seen = M if len(M) == 1 else M[own], []  # one matrix broadcasts over its brackets
     for _ in range(_MAX_STEPS):
+        A, B, C = M[:, 0], M[:, 1], M[:, 2]
         c, s = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
         lam, V = np.linalg.eigh(C + c * A - s * B)
         top, v = lam[:, -1], V[:, :, -1:]
-        k = top.argmax()
-        if best is None or top[k] > best[1]:
-            best = float(t[k]), float(top[k]), V[k, :, -1]
+        seen.append((own, t, top, V[:, :, -1]))
         # w[:, j] = -v_j* H' v for every eigenvector v_j; the last is -f'.
         vh = V.conj().swapaxes(1, 2)
         w = (vh @ ((s * A + c * B) @ v))[:, :, 0]
@@ -109,16 +110,19 @@ def _refine(A, B, C, t, lo, hi, tol, best):
         newton = t - d1 / np.where(d2 < 0.0, d2, -np.inf)  # no step unless f'' < 0
         lo, hi = np.where(d1 > 0.0, t, lo), np.where(d1 > 0.0, hi, t)
         nxt = np.where((newton > lo) & (newton < hi), newton, (lo + hi) / 2.0)
-        flat = np.abs(d1) <= 4.0 * np.finfo(float).eps * np.abs(lam).max(axis=1)
-        going = ~flat & (np.abs(nxt - t) > tol) & (hi - lo > tol)
+        steep = np.abs(d1) > _ULPS4 * np.maximum(-lam[:, 0], top)  # lam ascends: max |lam|
+        going = steep & (np.abs(nxt - t) > tol) & (hi - lo > tol)
         if not going.any():
-            return best
-        t, lo, hi = nxt[going], lo[going], hi[going]
-    return best
+            break
+        t, lo, hi, own, M = nxt[going], lo[going], hi[going], own[going], M if len(M) == 1 else M[going]
+    own, t, top, v = map(np.concatenate, zip(*seen))
+    order = np.lexsort((-top, own))  # stable: visit order breaks ties
+    first = order[np.searchsorted(own[order], owners)]
+    return t[first], top[first], v.take(first, axis=0)
 
 
 def _angles_above(A, B, C, value, eta):
-    """Angles where f crosses r = value + eta; empty certifies max f < r.
+    """Angles where each f of the (k, n, n) stacks crosses r = value + eta.
 
     H(theta) - r is singular at z = exp(1j*theta) iff Q(z) = z^2 P + z (C - r) + P*
     is, with P = (A + iB)/2 (He & Watson, IMA J. Numer. Anal. 1997).  The
@@ -126,64 +130,85 @@ def _angles_above(A, B, C, value, eta):
     leading coefficient a^2 Q(1/a) invertible even for singular P.  A
     near-unimodular eigenvalue mu of the companion matrix counts only where
     f > value + eta/2, which drops the false alarms of a nearly constant f.
-    Returns None when the pencil cannot be formed.
+    Returns (clear, own, t): clear[i] certifies max f < r; t sorted by (own, t).
     """
-    a, n = _MOBIUS, A.shape[0]
-    P, D = (A + 1j * B) / 2.0, C - (value + eta) * np.eye(n)
-    rhs = np.hstack([a * a * P + a * D + P.conj().T, 2.0 * a * A + (1.0 + a * a) * D])
-    companion = np.eye(2 * n, k=n, dtype=complex)
+    a, (k, n), eye = _MOBIUS, A.shape[:2], np.eye(A.shape[1])
+    P, D = (A + 1j * B) / 2.0, C - (value + eta)[:, None, None] * eye
+    Ph = P.conj().swapaxes(1, 2)
+    rhs = np.concatenate([a * a * P + a * D + Ph, 2.0 * a * A + (1.0 + a * a) * D], axis=2)
+    companion = np.zeros((k, 2 * n, 2 * n), dtype=complex)
+    companion[:, :n, n:] = eye
     try:
-        companion[n:] = -np.linalg.solve(P + a * D + a * a * P.conj().T, rhs)
+        companion[:, n:] = -np.linalg.solve(P + a * D + a * a * Ph, rhs)
         mu = np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError:
-        return None
-    mu = mu[np.abs(np.abs(mu) - 1.0) <= _UNIMODULAR_TOL]
-    t = np.angle((mu + a) / (1.0 + a * mu))
-    if t.size:
+    except np.linalg.LinAlgError:  # one matrix at a time: only its own failure leaves it uncertified
+        if k == 1:
+            return np.zeros(1, bool), np.zeros(0, int), np.zeros(0)
+        parts = [_angles_above(*(X[i : i + 1] for X in (A, B, C, value, eta))) for i in range(k)]
+        return tuple(map(np.concatenate, zip(*((p[0], p[1] + i, p[2]) for i, p in enumerate(parts)))))
+    own, j = np.nonzero(np.abs(np.abs(mu) - 1.0) <= _UNIMODULAR_TOL)
+    t = np.zeros(0)
+    if own.size:
+        mu = mu[own, j]
+        t = np.angle((mu + a) / (1.0 + a * mu))
         c, s = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
-        t = np.sort(t[np.linalg.eigvalsh(C + c * A - s * B)[:, -1] > value + eta / 2.0])
-    return t
+        keep = np.linalg.eigvalsh(C[own] + c * A[own] - s * B[own])[:, -1] > (value + eta / 2.0)[own]
+        order = np.lexsort((t[keep], own[keep]))
+        own, t = own[keep][order], t[keep][order]
+    return np.bincount(own, minlength=k) == 0, own, t
 
 
-def _max_on_circle(A: np.ndarray, B: np.ndarray, C: np.ndarray, cfg: SweepConfig) -> SweepResult:
-    """Maximize f(theta) = lambda_max(C + cos(theta) A - sin(theta) B).
+def _max_on_circle(A: np.ndarray, B: np.ndarray, C: np.ndarray, cfg: SweepConfig) -> list[SweepResult]:
+    """Maximize f(theta) = lambda_max(C + cos(theta) A - sin(theta) B) for each
+    matrix of the (k, n, n) stacks A, B, C; one SweepResult each.
 
-    One batched eigvalsh over a uniform grid brackets the top_k local
-    maxima; ``_refine`` starts each at the vertex of its grid parabola.
-    The level-set test then certifies the largest value seen or gives the
-    crossing angles, each of which restarts Newton within its neighbours
-    (Mengi & Overton, IMA J. Numer. Anal. 2005), for at most _RESTARTS
-    rounds.  The witness is the raw top eigenvector at theta_star.
+    One batched eigvalsh over all matrices and grid angles brackets each
+    matrix's top_k local maxima; ``_refine`` starts each at the vertex of its
+    grid parabola.  The level-set test certifies each largest value seen or
+    gives crossing angles, each restarting Newton within its neighbours
+    (Mengi & Overton, IMA J. Numer. Anal. 2005) for at most _RESTARTS rounds.
     """
-    # A power-of-two scale keeps the squares in f'' finite at extreme
-    # input scales and multiplies back exactly.
-    peak = max(float(np.abs(M).max()) for M in (A, B, C))
-    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
-    A, B, C = A / scale, B / scale, C / scale
+    # Exact power-of-two scales keep f'' finite; parts divide apart (complex / subnormal overflows).
+    M = np.concatenate([A, B, C], axis=1, dtype=complex)
+    scale = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(1, 2)))[1] - 1)
+    M = (M.view(float) / scale[:, None, None]).view(complex).reshape(len(M), 3, -1, M.shape[-1])
 
     h = TWO_PI / cfg.grid_points
     thetas = np.arange(cfg.grid_points) * h
     c, s = np.cos(thetas)[:, None, None], np.sin(thetas)[:, None, None]
-    grid = c * A - s * B
-    grid += C  # in place: a third stack of n x n matrices would raise peak memory
-    vals = np.linalg.eigvalsh(grid)[:, -1]
-    left, right = np.concatenate([vals[-1:], vals[:-1]]), np.concatenate([vals[1:], vals[:1]])
-    locmax = np.flatnonzero((vals >= left) & (vals >= right))
-    k = locmax[np.argsort(vals[locmax], kind="stable")[::-1]][: cfg.top_k]
-    bend = left[k] - 2.0 * vals[k] + right[k]
-    vertex = np.divide(left[k] - right[k], bend, out=np.zeros_like(bend), where=bend < 0.0)
-    best = _refine(A, B, C, thetas[k] + 0.5 * h * vertex, thetas[k] - h, thetas[k] + h, cfg.tol, None)
-    for restart in range(_RESTARTS + 1):
-        eta = _CERT_RTOL * (1.0 + abs(best[1]))
-        t = _angles_above(A, B, C, best[1], eta)
-        if t is None or t.size == 0 or restart == _RESTARTS:
+    grid = c * M[:, 0, None] - s * M[:, 1, None]
+    grid += M[:, 2, None]  # in place: a third stack of n x n matrices would raise peak memory
+    vals = np.linalg.eigvalsh(grid)[..., -1]
+    ext = np.concatenate([vals[:, -1:], vals, vals[:, :1]], axis=1)
+    left, right = ext[:, :-2], ext[:, 2:]
+    pick = np.flatnonzero((vals >= left) & (vals >= right))  # grid maxima, flat in (k, grid)
+    # per matrix, largest first (ties: later angle first), at most top_k
+    pick = pick[np.lexsort((vals.flat[pick], pick // cfg.grid_points))[::-1]]
+    own = pick // cfg.grid_points  # every matrix has a grid maximum, so owns a bracket
+    if pick.size > cfg.top_k:  # then some matrix may have more than top_k
+        keep = np.arange(pick.size) - np.searchsorted(-own, -own) < cfg.top_k
+        pick, own = pick[keep], own[keep]
+    th = thetas[pick % cfg.grid_points]
+    lv, mv, rv = left.flat[pick], vals.flat[pick], right.flat[pick]
+    bend = lv - 2.0 * mv + rv
+    vertex = np.divide(lv - rv, bend, out=np.zeros_like(bend), where=bend < 0.0)
+    best = _refine(M, own, th + 0.5 * h * vertex, th - h, th + h, cfg.tol, np.arange(len(M)))
+    eta = _CERT_RTOL * (1.0 + np.abs(best[1]))
+    certified, own, t = _angles_above(M[:, 0], M[:, 1], M[:, 2], best[1], eta)
+    for _ in range(_RESTARTS):
+        if t.size == 0:
             break
-        lo = np.concatenate([t[-1:] - TWO_PI, t[:-1]])
-        hi = np.concatenate([t[1:], t[:1] + TWO_PI])
-        best = _refine(A, B, C, t, lo, hi, cfg.tol, best)
-    certified = t is not None and t.size == 0
-    return SweepResult(omega=best[1] * scale, theta_star=best[0] % TWO_PI, witness=best[2],
-                       certified=certified, margin=eta * scale if certified else math.inf)
+        i, head = np.arange(t.size), np.searchsorted(own, own)
+        tail = np.searchsorted(own, own, "right") - 1
+        lo = np.where(i == head, t[tail] - TWO_PI, t[i - 1])
+        hi = np.where(i == tail, t[head] + TWO_PI, t[(i + 1) % t.size])
+        todo = np.unique(own)  # f exceeds each value at its crossings, so restarts raise it
+        best[0][todo], best[1][todo], best[2][todo] = _refine(M, own, t, lo, hi, cfg.tol, todo)
+        eta[todo] = _CERT_RTOL * (1.0 + np.abs(best[1][todo]))
+        certified[todo], own, t = _angles_above(*M[todo].swapaxes(0, 1), best[1][todo], eta[todo])
+        own = todo[own]
+    rows = zip(*(x.tolist() for x in (best[0], best[1], certified, eta, scale)), best[2])
+    return [SweepResult(w * s, t % TWO_PI, x, c, e * s if c else math.inf) for t, w, c, e, s, x in rows]
 
 
 def f_theta(T, theta: float) -> float:
@@ -205,10 +230,9 @@ def _fix_phase(x: np.ndarray) -> np.ndarray:
 def numerical_radius(T, cfg: SweepConfig | None = None) -> SweepResult:
     """Numerical radius by grid sweep, Newton refinement and the level-set certificate."""
     cfg = cfg or DEFAULT_SWEEP
-    T = as_matrix(T)
     A, B = re_im_parts(T)
-    result = _max_on_circle(A, B, np.zeros_like(A), cfg)
-    return replace(result, witness=_fix_phase(result.witness))
+    r = _max_on_circle(A[None], B[None], np.zeros((1, *A.shape), dtype=complex), cfg)[0]
+    return SweepResult(r.omega, r.theta_star, _fix_phase(r.witness), r.certified, r.margin)
 
 
 def rayleigh_radius(T, trials: int = 16, seed: int = 0) -> tuple[float, np.ndarray]:
@@ -269,8 +293,8 @@ def sup_theta_norm(X, Y, cfg: SweepConfig | None = None) -> float:
     X, Y = as_matrix(X), as_matrix(Y)
     if X.shape != Y.shape:
         raise DimensionMismatch(f"shapes {X.shape} and {Y.shape} differ")
-    A, B, C = (_off_diag(M, M) for M in (Y, -1j * Y, X))
-    return _max_on_circle(A, B, C, cfg).omega
+    A, B, C = (_off_diag(M, M)[None] for M in (Y, -1j * Y, X))
+    return _max_on_circle(A, B, C, cfg)[0].omega
 
 
 def off_diag_radius(X, Y, cfg: SweepConfig | None = None) -> float:

@@ -2,7 +2,8 @@
 
 Every radius sweep that a test runs, directly or through the CLI, must
 carry the level-set certificate: the autouse ``sweeps`` fixture records
-each result of the sweep kernel and fails the test if one is uncertified.
+the result of every matrix of every sweep-kernel call, stacked calls
+included, and fails the test if one is uncertified.
 """
 
 import pytest
@@ -17,8 +18,9 @@ def sweeps(monkeypatch):
     kernel = radius._max_on_circle
 
     def recording(*args, **kwargs):
-        seen.append(kernel(*args, **kwargs))
-        return seen[-1]
+        results = kernel(*args, **kwargs)
+        seen.extend(results)
+        return results
 
     monkeypatch.setattr(radius, "_max_on_circle", recording)
     yield seen

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opineq import cli
+from opineq import cli, conjecture
 from opineq.cli import main
 from opineq.ensembles import trial_rng
 from opineq.fuzz import MATRIX_SUITE_NAMES, SUITES
@@ -134,6 +134,26 @@ def test_conjecture_command(capsys):
     out = capsys.readouterr().out
     assert "min_slack," in out
     assert "golden_slack_hd-1," in out
+
+
+@pytest.mark.parametrize("argv, grid", [([], 16), (["--grid", "24"], 24)])
+def test_conjecture_scores_every_slack_at_the_campaign_grid(monkeypatch, capsys, argv, grid):
+    # The golden calibration rows and the descent both call half_diff_slack;
+    # every call must run at the grid the campaign itself uses.
+    grids = []
+    slack = conjecture.half_diff_slack
+
+    def recording(T, cfg=None):
+        grids.append(None if cfg is None else cfg.grid_points)
+        return slack(T, cfg)
+
+    monkeypatch.setattr(cli, "half_diff_slack", recording)
+    monkeypatch.setattr(conjecture, "half_diff_slack", recording)
+    assert main(["conjecture", "--dim", "2", "--count", "6", "--ascend-iters", "1", *argv]) == 0
+    capsys.readouterr()
+    golden = len(cli.HALF_DIFF_ROWS)
+    assert len(grids) == 5 * 50 + golden
+    assert set(grids) == {grid}
 
 
 def test_conjecture_runs_on_the_coarse_certified_grid(monkeypatch, capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from opineq import EnsembleSpec, SweepConfig, conjecture_search, half_diff_slack
+from opineq import EnsembleSpec, SweepConfig, conjecture, conjecture_search, half_diff_slack
+from opineq.ensembles import generate
 
 
 def test_slack_on_golden_matrix():
@@ -30,3 +31,27 @@ def test_small_campaign_deterministic_and_nonnegative():
     scale = 1 + np.linalg.norm(a.argmin_matrix, 2)
     assert a.violated == (a.min_slack < -1e-7 * scale)
     assert not a.violated
+
+
+@pytest.mark.parametrize("count, budget", [(1, None), (61, None), (23, 3 * 2 * 16 * 9 * 16)])
+def test_stacked_scan_equals_serial_slacks(monkeypatch, count, budget):
+    # The default budget stacks 28 draws of dim 3 at grid 16, so 61 draws
+    # end in a short chunk; a 3-draw budget makes 23 draws 8 chunks.
+    if budget is not None:
+        monkeypatch.setattr(conjecture, "SCAN_STACK_BYTES", budget)
+    spec = EnsembleSpec(kind="integer-complex", dim=3, count=count, seed=5)
+    cfg = SweepConfig(grid_points=16)
+    scored = conjecture._scan(spec, cfg)
+    draws = list(generate(spec))
+    assert [s for s, _ in scored] == [half_diff_slack(T, cfg) for T in draws]
+    for (_, T), D in zip(scored, draws):
+        np.testing.assert_array_equal(T, D)
+
+
+def test_scan_chunk_grid_stack_stays_within_the_byte_budget(monkeypatch, sweeps):
+    grids = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: grids.append(M.nbytes) or eigvalsh(M))
+    conjecture._scan(EnsembleSpec(kind="gaussian-complex", dim=4, count=50, seed=6), SweepConfig(grid_points=16))
+    assert max(grids) <= conjecture.SCAN_STACK_BYTES
+    assert len(sweeps) == 100

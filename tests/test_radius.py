@@ -1,7 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opineq import (
     DimensionMismatch,
@@ -18,6 +21,8 @@ from opineq import (
     sup_theta_norm,
 )
 from opineq import radius
+
+pytest_plugins = ["pytester"]
 
 
 def random_complex(rng, n, m=None):
@@ -283,23 +288,156 @@ def test_singular_repeated_and_extreme_scale_inputs_are_certified():
             assert res.margin <= 1e-8 * res.omega
 
 
+def hermitian_stacks(Ts):
+    """The (k, n, n) stacks A, B and C = 0 that numerical_radius hands the kernel."""
+    A = np.stack([(T + T.conj().T) / 2 for T in Ts])
+    B = np.stack([(T - T.conj().T) / 2j for T in Ts])
+    return A, B, np.zeros_like(A)
+
+
+def assert_stack_matches_single_calls(A, B, C, cfg):
+    """Each stacked result equals its own k = 1 call bitwise."""
+    stacked = radius._max_on_circle(A, B, C, cfg)
+    assert len(stacked) == len(A)
+    for i, s in enumerate(stacked):
+        (r,) = radius._max_on_circle(A[i : i + 1], B[i : i + 1], C[i : i + 1], cfg)
+        assert (s.omega, s.theta_star, s.certified, s.margin) == (r.omega, r.theta_star, r.certified, r.margin)
+        np.testing.assert_array_equal(s.witness, r.witness)
+    return stacked
+
+
 def test_coarse_grid_misses_are_found_by_restarts(monkeypatch):
     # Eight grid points and one bracket miss the global peak on about one
-    # draw in twenty; the level-set test must find each and restart Newton.
+    # draw in twenty; the level-set test must find each and restart Newton,
+    # also when the draws of one size run as one stack.
     refine, calls = radius._refine, []
     monkeypatch.setattr(radius, "_refine", lambda *a: calls.append(1) or refine(*a))
     coarse = SweepConfig(grid_points=8, top_k=1)
     fine = SweepConfig(grid_points=5760, top_k=8)
     rng = np.random.default_rng(16)
     restarted = 0
+    draws = {6: [], 12: []}
     for i in range(400):
         T = random_complex(rng, 6 if i % 2 else 12)
+        draws[T.shape[0]].append(T)
         calls.clear()
         res = numerical_radius(T, coarse)
         restarted += len(calls) > 1
         assert res.certified
         assert res.omega == pytest.approx(numerical_radius(T, fine).omega, rel=1e-12)
     assert restarted >= 1
+    for Ts in draws.values():
+        calls.clear()
+        assert_stack_matches_single_calls(*hermitian_stacks(Ts), coarse)
+        assert len(calls) > 1
+
+
+def test_each_matrix_of_a_stack_refines_its_top_k_grid_maxima(monkeypatch):
+    # The first refinement gets, per matrix, its top_k largest grid maxima.
+    refine, calls = radius._refine, []
+    monkeypatch.setattr(radius, "_refine", lambda M, own, t, lo, *a: calls.append((own, lo)) or refine(M, own, t, lo, *a))
+    rng = np.random.default_rng(22)
+    A, B, C = hermitian_stacks([random_complex(rng, 5) for _ in range(6)])
+    radius._max_on_circle(A, B, C, SweepConfig(grid_points=64, top_k=2))
+    own, lo = calls[0]
+    h = 2 * math.pi / 64
+    thetas = np.arange(64) * h
+    for i in range(6):
+        vals = np.linalg.eigvalsh(np.cos(thetas)[:, None, None] * A[i] - np.sin(thetas)[:, None, None] * B[i])[:, -1]
+        peaks = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+        top = peaks[np.argsort(vals[peaks])[::-1][:2]]
+        assert np.rint((lo[own == i] + h) / h).astype(int).tolist() == top.tolist()
+    assert len(own) == 12
+
+
+def stack_member(kind, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "shift":
+        T = np.eye(n, k=1)
+    elif kind == "rank-one":
+        T = random_complex(rng, n, 1) @ random_complex(rng, 1, n)
+    elif kind == "S+S":
+        S = random_complex(rng, n // 2)
+        T = np.kron(np.eye(2), S)
+    else:
+        T = random_complex(rng, n)
+    return scale * T
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 6]),
+    members=st.lists(
+        st.tuples(st.sampled_from(["random", "shift", "rank-one", "S+S"]),
+                  st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e150, 1e-150])),
+        min_size=1, max_size=6),
+    grid=st.sampled_from([8, 16, 720]),
+)
+def test_stacked_kernel_equals_single_calls_bitwise(n, members, grid):
+    Ts = [stack_member(kind, n, seed, scale) for kind, seed, scale in members]
+    for r in assert_stack_matches_single_calls(*hermitian_stacks(Ts), SweepConfig(grid_points=grid)):
+        assert r.certified
+
+
+def test_pencil_failure_leaves_only_its_own_matrix_uncertified(monkeypatch, sweeps):
+    # The level-set pencil of matrix 2 raises LinAlgError; the stacked call
+    # must fall back to one matrix at a time and certify all the others.
+    rng = np.random.default_rng(19)
+    A, B, C = hermitian_stacks([random_complex(rng, 4) for _ in range(5)])
+    cfg = SweepConfig(grid_points=16)
+    solve, leads = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda L, rhs: leads.append(L) or solve(L, rhs))
+    singles = [radius._max_on_circle(A[i : i + 1], B[i : i + 1], C[i : i + 1], cfg)[0] for i in range(5)]
+    poisoned = leads[2][0]
+
+    def failing(L, rhs):
+        if any(np.array_equal(M, poisoned) for M in L):
+            raise np.linalg.LinAlgError("injected")
+        return solve(L, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    stacked = radius._max_on_circle(A, B, C, cfg)
+    assert not stacked[2].certified and stacked[2].margin == math.inf
+    assert stacked[2].omega == singles[2].omega
+    for i in (0, 1, 3, 4):
+        s, r = stacked[i], singles[i]
+        assert s.certified
+        assert (s.omega, s.theta_star, s.margin) == (r.omega, r.theta_star, r.margin)
+        np.testing.assert_array_equal(s.witness, r.witness)
+    # the one deliberately uncertified result is not a missed certificate
+    sweeps[:] = [r for r in sweeps if r is not stacked[2]]
+
+
+def test_sweeps_fixture_records_every_matrix_of_a_stacked_call(sweeps):
+    rng = np.random.default_rng(20)
+    A, B, C = hermitian_stacks([random_complex(rng, 3) for _ in range(4)])
+    stacked = radius._max_on_circle(A, B, C, SweepConfig(grid_points=16))
+    assert len(sweeps) == 4 and all(a is b for a, b in zip(sweeps, stacked))
+
+
+def test_sweeps_fixture_fails_a_test_with_an_uncertified_stacked_result(pytester, monkeypatch):
+    # The inner session runs in its own interpreter, apart from this test's fixture.
+    monkeypatch.setenv("PYTHONPATH", str(Path(radius.__file__).parents[1]))
+    pytester.makeconftest((Path(__file__).parent / "conftest.py").read_text())
+    pytester.makepyfile(test_inner="""
+        import numpy as np
+        from opineq import SweepConfig, radius
+
+        def test_one_pencil_fails(monkeypatch):
+            solve = np.linalg.solve
+            def failing(L, rhs):
+                if any(M[0, 0].real < 0 for M in L):
+                    raise np.linalg.LinAlgError("injected")
+                return solve(L, rhs)
+            monkeypatch.setattr(np.linalg, "solve", failing)
+            A = np.stack([np.diag([1.0, 0.5]), np.diag([-1.0, -2.0])]).astype(complex)
+            B = np.zeros_like(A)
+            results = radius._max_on_circle(A, B, B, SweepConfig(grid_points=16))
+            assert [r.certified for r in results] == [True, False]
+    """)
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    result.assert_outcomes(passed=1, errors=1)
+    result.stdout.fnmatch_lines(["*1 of 2 radius results are not certified*"])
 
 
 def test_level_test_drops_near_circle_roots_below_the_level(monkeypatch):
@@ -312,10 +450,24 @@ def test_level_test_drops_near_circle_roots_below_the_level(monkeypatch):
     for _ in range(20):
         T = random_complex(rng, 4)
         omega = numerical_radius(T).omega
-        A, B = (T + T.conj().T) / 2, (T - T.conj().T) / 2j
+        A, B, C = hermitian_stacks([T])
         batches.clear()
-        assert radius._angles_above(A, B, np.zeros_like(A), omega, 1e-14 * omega).size == 0
+        clear, own, t = radius._angles_above(A, B, C, np.array([omega]), np.array([1e-14 * omega]))
+        assert t.size == 0 and own.size == 0 and clear.tolist() == [True]
         assert batches and batches[0] >= 2
+
+
+def test_subnormal_scale_is_certified_and_homogeneous():
+    # At a subnormal power-of-two scale, complex division by the scale
+    # overflowed and left no grid maximum; the parts now divide exactly.
+    c = 2.0**-1064
+    rng = np.random.default_rng(21)
+    T = np.round(random_complex(rng, 3) * 64) / 64  # c * T is exact
+    for M in (np.eye(3, k=1), T):
+        res, w = numerical_radius(c * M), numerical_radius(M).omega
+        assert res.certified and res.omega > 0.0
+        # c * M is the same scaled problem as M, so homogeneity is exact, well within 1e-12
+        assert res.omega == c * w
 
 
 def test_sup_theta_norm_and_off_diag_radius_are_certified(sweeps):
