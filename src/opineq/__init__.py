@@ -21,7 +21,6 @@ from .errors import (
     NotSquare,
     OpineqError,
     UnknownSuite,
-    ZeroVector,
 )
 from .fuzz import SUITE_NAMES, SuiteSummary, run_suite, run_suites
 from .inequalities import (
@@ -39,7 +38,6 @@ from .inequalities import (
     mixed_schwarz,
     positivity_consistent,
     radius_upper_reports,
-    schwarz_gram,
 )
 from .linalg import (
     HermEigen,

@@ -23,12 +23,7 @@ from .tables import HALF_DIFF_ROWS, TABLE_TOL, reproduce_tables
 
 
 def _sweep_config(args) -> SweepConfig:
-    kwargs = {}
-    if args.grid is not None:
-        kwargs["grid_points"] = args.grid
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    return SweepConfig(**kwargs)
+    return SweepConfig() if args.grid is None else SweepConfig(grid_points=args.grid)
 
 
 def _suite_list(text: str) -> list[str]:
@@ -186,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radius", help="numerical radius of a matrix")
     p.add_argument("matrix", help="matrix JSON file")
     p.add_argument("--grid", type=int, default=None, help="sweep grid points")
-    p.add_argument("--tol", type=float, default=None, help="angle refinement tolerance")
     add_format(p)
     p.set_defaults(func=cmd_radius)
 
@@ -195,14 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, type=_suite_list,
                    help="comma-separated: " + ",".join(MATRIX_SUITE_NAMES))
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=0, help="seed for sampled vectors")
     add_format(p, with_json=True)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("tables", help="recompute the golden comparison tables")
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None, help="directory for one file per table")
     p.add_argument("--format", choices=["csv", "md"], default="csv")
     p.set_defaults(func=cmd_tables)
@@ -225,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, default="integer-complex")
     p.add_argument("--int-range", type=int, nargs=2, default=(0, 10), metavar=("LO", "HI"))
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     add_format(p)
     p.set_defaults(func=cmd_fuzz)
 

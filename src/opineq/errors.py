@@ -46,10 +46,6 @@ class HypothesisUnmet(OpineqError):
         super().__init__(f"hypothesis not met: {condition}" + (f" ({detail})" if detail else ""))
 
 
-class ZeroVector(OpineqError):
-    pass
-
-
 class IdentityMismatch(OpineqError):
     """Two routes that must agree numerically disagreed beyond tolerance."""
 

@@ -20,8 +20,6 @@ from .errors import (
     InvalidSpec,
     NotHermitian,
     NotPSD,
-    NotSquare,
-    ZeroVector,
 )
 from .linalg import (
     as_matrix,
@@ -48,7 +46,6 @@ __all__ = [
     "corner_norm_report",
     "compression_bound_report",
     "mixed_schwarz",
-    "schwarz_gram",
     "half_difference_reports",
     "block_pair_report",
     "radius_upper_reports",
@@ -352,29 +349,6 @@ def mixed_schwarz(T, x, y, alpha: float) -> BoundReport:
     return BoundReport(
         name=f"mixed-schwarz-{alpha:g}", lhs=lhs, rhs=rhs, tol=default_tol(rhs)
     )
-
-
-def schwarz_gram(T, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three 2x2 Gram matrices whose positivity encodes the mixed
-    Schwarz inequality at the vector x.
-
-    The first is [[<|T|x,x>, <Tx,x>], [<T*x,x>, <|T*|x,x>]]; the other two
-    are its conjugations by the fixed unitaries (1/sqrt2)[[i,1],[-i,1]] and
-    (1/sqrt2)[[1,-1],[1,1]], so all three share eigenvalues.
-    """
-    T = as_matrix(T)
-    if T.shape[0] != T.shape[1]:
-        raise NotSquare("Gram matrices need a square matrix")
-    xv = np.asarray(x, dtype=np.complex128).ravel()
-    if float(np.linalg.norm(xv)) == 0.0:
-        raise ZeroVector("x must be nonzero")
-    a11 = float(np.real(inner(matrix_abs(T) @ xv, xv)))
-    a22 = float(np.real(inner(matrix_abs(T.conj().T) @ xv, xv)))
-    t = inner(T @ xv, xv)
-    gram = np.array([[a11, t], [np.conj(t), a22]], dtype=np.complex128)
-    F = np.array([[1j, 1.0], [-1j, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
-    G = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
-    return gram, F @ gram @ F.conj().T, G @ gram @ G.conj().T
 
 
 def _abs_pair(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,8 +23,13 @@ def complex_to_str(z: complex) -> str:
     return f"{re:g}{sign}{abs(im):g}i"
 
 
+def _is_number(x) -> bool:
+    """A JSON number: bool is an int subclass, but true/false are no numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_entry(e) -> complex:
-    if isinstance(e, (int, float)):
+    if _is_number(e):
         return complex(e, 0.0)
     if isinstance(e, str):
         s = e.strip().replace(" ", "").replace("i", "j")
@@ -34,7 +39,7 @@ def _parse_entry(e) -> complex:
             raise MatrixFormatError(f"cannot parse complex entry {e!r}") from exc
     if isinstance(e, (list, tuple)) and len(e) == 2:
         re, im = e
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
+        if _is_number(re) and _is_number(im):
             return complex(re, im)
     raise MatrixFormatError(f"entry {e!r} is not [re, im], a number, or an a+bi string")
 
@@ -46,7 +51,7 @@ def matrix_from_dict(d) -> np.ndarray:
         rows, cols, entries = d["rows"], d["cols"], d["entries"]
     except KeyError as exc:
         raise MatrixFormatError(f"missing key {exc.args[0]!r}") from exc
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    if not (type(rows) is int and type(cols) is int) or rows < 1 or cols < 1:  # a bool is no size
         raise MatrixFormatError("rows/cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise MatrixFormatError(f"expected {rows} entry rows")

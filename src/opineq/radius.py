@@ -21,6 +21,7 @@ from .linalg import as_matrix, block2, re_im_parts, spectral_norm
 TWO_PI = 2.0 * math.pi
 # Bisection alone shrinks any bracket below 1e-16 in 55 steps; the cap guards termination.
 _MAX_STEPS = 64
+_ANGLE_TOL = 1e-11  # a bracket stops where its Newton step or width is at most this
 _ULPS4 = 4.0 * np.finfo(float).eps  # a bracket stops where |f'| <= _ULPS4 max |lam|
 # Level-set test: relative level margin, unit-circle tolerance, Newton restarts,
 # and an irrational Moebius parameter (1/a is no root of structured inputs).
@@ -41,22 +42,16 @@ __all__ = [
 class SweepConfig:
     """Angle-sweep controls.
 
-    A uniform grid locates candidate maxima; the top_k bracketed local
-    maxima are refined by safeguarded Newton steps down to angle
-    resolution ``tol``, and a level-set test finds any peak they missed.
+    A uniform grid of ``grid_points`` angles brackets each matrix's largest
+    grid value; safeguarded Newton steps refine that one bracket, and a
+    level-set test finds any peak the grid missed.
     """
 
     grid_points: int = 720
-    top_k: int = 5
-    tol: float = 1e-11
 
     def __post_init__(self):
         if self.grid_points < 8:
             raise InvalidSpec("grid_points must be >= 8")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise InvalidSpec("tol must be positive and finite")
-        if self.top_k < 1:
-            raise InvalidSpec("top_k must be >= 1")
 
 
 DEFAULT_SWEEP = SweepConfig()
@@ -78,7 +73,7 @@ class SweepResult:
     margin: float
 
 
-def _refine(M, own, t, lo, hi, tol, owners):
+def _refine(M, own, t, lo, hi, owners):
     """Safeguarded Newton steps from angles t in brackets (lo, hi) on matrices own of M.
 
     One batched eigh per step over the brackets still active.  With
@@ -88,9 +83,9 @@ def _refine(M, own, t, lo, hi, tol, owners):
     tie, as for an eigenvalue repeated at every theta, adds no curvature.
     Each step shrinks its bracket by the sign of f'.  A step that leaves
     the bracket, or a non-finite or non-negative f'', bisects instead.  A
-    bracket stops when its step or width is at most ``tol`` or when |f'|
-    is within 4 ulps of max |lam|.  Returns (theta, value, vector) of the
-    first largest eigenpair visited for each of the sorted ``owners``.
+    bracket stops when its step or width is at most _ANGLE_TOL or when
+    |f'| is within 4 ulps of max |lam|.  Returns (theta, value, vector)
+    of the first largest eigenpair visited for each of the sorted ``owners``.
     """
     M, seen = M if len(M) == 1 else M[own], []  # one matrix broadcasts over its brackets
     for _ in range(_MAX_STEPS):
@@ -111,7 +106,7 @@ def _refine(M, own, t, lo, hi, tol, owners):
         lo, hi = np.where(d1 > 0.0, t, lo), np.where(d1 > 0.0, hi, t)
         nxt = np.where((newton > lo) & (newton < hi), newton, (lo + hi) / 2.0)
         steep = np.abs(d1) > _ULPS4 * np.maximum(-lam[:, 0], top)  # lam ascends: max |lam|
-        going = steep & (np.abs(nxt - t) > tol) & (hi - lo > tol)
+        going = steep & (np.abs(nxt - t) > _ANGLE_TOL) & (hi - lo > _ANGLE_TOL)
         if not going.any():
             break
         t, lo, hi, own, M = nxt[going], lo[going], hi[going], own[going], M if len(M) == 1 else M[going]
@@ -163,10 +158,11 @@ def _max_on_circle(A: np.ndarray, B: np.ndarray, C: np.ndarray, cfg: SweepConfig
     matrix of the (k, n, n) stacks A, B, C; one SweepResult each.
 
     One batched eigvalsh over all matrices and grid angles brackets each
-    matrix's top_k local maxima; ``_refine`` starts each at the vertex of its
-    grid parabola.  The level-set test certifies each largest value seen or
-    gives crossing angles, each restarting Newton within its neighbours
-    (Mengi & Overton, IMA J. Numer. Anal. 2005) for at most _RESTARTS rounds.
+    matrix's largest grid value, the later angle on a tie; ``_refine``
+    starts there at the vertex of the grid parabola.  Any other peak is left
+    to the level-set test: it certifies each largest value seen or gives
+    crossing angles, each restarting Newton within its neighbours (Mengi &
+    Overton, IMA J. Numer. Anal. 2005) for at most _RESTARTS rounds.
     """
     # Exact power-of-two scales keep f'' finite; parts divide apart (complex / subnormal overflows).
     M = np.concatenate([A, B, C], axis=1, dtype=complex)
@@ -179,20 +175,13 @@ def _max_on_circle(A: np.ndarray, B: np.ndarray, C: np.ndarray, cfg: SweepConfig
     grid = c * M[:, 0, None] - s * M[:, 1, None]
     grid += M[:, 2, None]  # in place: a third stack of n x n matrices would raise peak memory
     vals = np.linalg.eigvalsh(grid)[..., -1]
-    ext = np.concatenate([vals[:, -1:], vals, vals[:, :1]], axis=1)
-    left, right = ext[:, :-2], ext[:, 2:]
-    pick = np.flatnonzero((vals >= left) & (vals >= right))  # grid maxima, flat in (k, grid)
-    # per matrix, largest first (ties: later angle first), at most top_k
-    pick = pick[np.lexsort((vals.flat[pick], pick // cfg.grid_points))[::-1]]
-    own = pick // cfg.grid_points  # every matrix has a grid maximum, so owns a bracket
-    if pick.size > cfg.top_k:  # then some matrix may have more than top_k
-        keep = np.arange(pick.size) - np.searchsorted(-own, -own) < cfg.top_k
-        pick, own = pick[keep], own[keep]
-    th = thetas[pick % cfg.grid_points]
-    lv, mv, rv = left.flat[pick], vals.flat[pick], right.flat[pick]
+    own = np.arange(len(M))
+    pick = cfg.grid_points - 1 - np.argmax(vals[:, ::-1], axis=1)  # largest; ties: the later angle
+    th = thetas[pick]
+    lv, mv, rv = vals[own, pick - 1], vals[own, pick], vals[own, (pick + 1) % cfg.grid_points]
     bend = lv - 2.0 * mv + rv
     vertex = np.divide(lv - rv, bend, out=np.zeros_like(bend), where=bend < 0.0)
-    best = _refine(M, own, th + 0.5 * h * vertex, th - h, th + h, cfg.tol, np.arange(len(M)))
+    best = _refine(M, own, th + 0.5 * h * vertex, th - h, th + h, own)
     eta = _CERT_RTOL * (1.0 + np.abs(best[1]))
     certified, own, t = _angles_above(M[:, 0], M[:, 1], M[:, 2], best[1], eta)
     for _ in range(_RESTARTS):
@@ -203,7 +192,7 @@ def _max_on_circle(A: np.ndarray, B: np.ndarray, C: np.ndarray, cfg: SweepConfig
         lo = np.where(i == head, t[tail] - TWO_PI, t[i - 1])
         hi = np.where(i == tail, t[head] + TWO_PI, t[(i + 1) % t.size])
         todo = np.unique(own)  # f exceeds each value at its crossings, so restarts raise it
-        best[0][todo], best[1][todo], best[2][todo] = _refine(M, own, t, lo, hi, cfg.tol, todo)
+        best[0][todo], best[1][todo], best[2][todo] = _refine(M, own, t, lo, hi, todo)
         eta[todo] = _CERT_RTOL * (1.0 + np.abs(best[1][todo]))
         certified[todo], own, t = _angles_above(*M[todo].swapaxes(0, 1), best[1][todo], eta[todo])
         own = todo[own]

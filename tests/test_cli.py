@@ -197,11 +197,12 @@ def test_input_errors(tmp_path, capsys):
     assert main(["fuzz", "--suite", "nope", "--dim", "2", "--count", "2"]) == 2
     good = tmp_path / "good.json"
     save_matrix(np.eye(2), good)
-    # zero grid or tolerance is invalid, not a request for the defaults
+    # a zero grid is invalid, not a request for the default
     assert main(["radius", str(good), "--grid", "0"]) == 2
-    assert main(["radius", str(good), "--tol", "0"]) == 2
-    assert main(["radius", str(good), "--tol", "nan"]) == 2
-    assert main(["radius", str(good), "--tol", "inf"]) == 2
+    # the angle tolerance is fixed; --tol is no option
+    for cmd in (["radius", str(good)], ["bounds", str(good), "--suite", "implicit"], ["tables"],
+                ["fuzz", "--suite", "implicit", "--dim", "2", "--count", "1"]):
+        assert main([*cmd, "--tol", "1e-11"]) == 2
     assert main(["conjecture", "--dim", "2", "--count", "1", "--grid", "0"]) == 2
     # a negative descent count is invalid, not a request for no descent
     assert main(["conjecture", "--dim", "2", "--count", "2", "--ascend-iters", "-1"]) == 2
@@ -210,3 +211,13 @@ def test_input_errors(tmp_path, capsys):
     assert main(["fuzz", "--suite", " , ", "--dim", "2", "--count", "2"]) == 2
     # no sampled pairs: block_positivity has no ratio to report
     assert main(["positivity", str(good), str(good), str(good), "--samples", "0"]) == 2
+
+
+def test_boolean_matrix_json_is_an_input_error(tmp_path, capsys):
+    # JSON true/false are no sizes or entries; exit 1 would claim a violation
+    path = tmp_path / "bool.json"
+    for doc in ({"rows": True, "cols": True, "entries": [[True]]},
+                {"rows": 1, "cols": 1, "entries": [[[False, True]]]}):
+        path.write_text(json.dumps(doc))
+        assert main(["radius", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -20,8 +20,6 @@ from opineq import (
     mixed_schwarz,
     positivity_consistent,
     radius_upper_reports,
-    re_im_parts,
-    schwarz_gram,
     spectral_norm,
 )
 from opineq.ensembles import trial_rng, unit_disc_matrix
@@ -280,60 +278,6 @@ def test_mixed_schwarz_fuzz():
         alpha = float(rng.uniform(0, 2))
         r = mixed_schwarz(T, x, y, alpha)
         assert r.slack >= -1e-9 * (1 + r.rhs)
-
-
-# -------------------------------------------------------------- Gram matrices
-
-
-def test_schwarz_gram_frozen_example():
-    T = np.array([[0, 1], [0, 0]], dtype=complex)
-    x = np.array([1.0, 1.0]) / math.sqrt(2)
-    gram, rot1, rot2 = schwarz_gram(T, x)
-    np.testing.assert_allclose(gram, np.full((2, 2), 0.5), atol=1e-12)
-    for M in (gram, rot1, rot2):
-        assert float(np.linalg.eigvalsh(M)[0]) >= -1e-12
-
-
-def test_schwarz_gram_hermitian_eigvector():
-    P = np.diag([3.0, 1.0])
-    x = np.array([2.0, 0.0])  # eigenvector, eigenvalue 3, ||x||^2 = 4
-    gram, _, _ = schwarz_gram(P, x)
-    np.testing.assert_allclose(gram, 12 * np.ones((2, 2)), atol=1e-10)
-
-
-def test_schwarz_gram_structure_and_psd():
-    for i in range(100):
-        rng = trial_rng(13, i)
-        n = int(rng.integers(1, 7))
-        T = unit_disc_matrix(rng, n)
-        x = random_complex(rng, n, 1).ravel()
-        gram, rot1, rot2 = schwarz_gram(T, x)
-        scale = 1 + spectral_norm(T) * float(np.linalg.norm(x)) ** 2
-        w0 = np.linalg.eigvalsh(gram)
-        for M in (gram, rot1, rot2):
-            w = np.linalg.eigvalsh(M)
-            assert w[0] >= -1e-9 * scale
-            np.testing.assert_allclose(w, w0, atol=1e-10 * scale)
-
-    # the second Gram matrix matches its stated entries
-    rng = np.random.default_rng(14)
-    T = random_complex(rng, 3)
-    x = random_complex(rng, 3, 1).ravel()
-    _, rot1, rot2 = schwarz_gram(T, x)
-    absT, absTs = matrix_abs(T), matrix_abs(T.conj().T)
-    reT, imT = re_im_parts(T)
-    half_sum = (absT + absTs) / 2
-    half_diff_star = (absTs - absT) / 2
-    def ip(M):
-        return np.vdot(x, M @ x)
-    expect_b11 = ip(half_sum - imT)
-    expect_b12 = ip(half_diff_star + 1j * reT)
-    assert rot1[0, 0] == pytest.approx(expect_b11, abs=1e-10)
-    assert rot1[0, 1] == pytest.approx(expect_b12, abs=1e-10)
-    expect_c11 = ip(half_sum - reT)
-    expect_c12 = ip(-half_diff_star + 1j * imT)
-    assert rot2[0, 0] == pytest.approx(expect_c11, abs=1e-10)
-    assert rot2[0, 1] == pytest.approx(expect_c12, abs=1e-10)
 
 
 # ------------------------------------------------------- half-diff radii

@@ -57,6 +57,18 @@ def test_errors():
         matrix_from_dict({"rows": 1, "cols": 1, "entries": [[float("nan")]]})
 
 
+def test_json_booleans_are_rejected():
+    # bool is an int subclass: true was a size of 1 and [false, true] the entry 1j
+    for rows, cols in ((True, True), (True, 1), (1, True), (False, 1)):
+        with pytest.raises(MatrixFormatError):
+            matrix_from_dict({"rows": rows, "cols": cols, "entries": [[1]]})
+    for entry in (True, False, [False, True], [1, True], [True, 0.5]):
+        with pytest.raises(MatrixFormatError):
+            matrix_from_dict({"rows": 1, "cols": 1, "entries": [[entry]]})
+    with pytest.raises(MatrixFormatError):
+        loads_matrix('{"rows": true, "cols": true, "entries": [[true]]}')
+
+
 def test_complex_to_str():
     assert complex_to_str(5 + 7j) == "5+7i"
     assert complex_to_str(10 - 3j) == "10-3i"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -242,15 +243,8 @@ def test_off_diag_shape_check():
 def test_sweep_config_validation():
     with pytest.raises(InvalidSpec):
         SweepConfig(grid_points=4)
-    with pytest.raises(InvalidSpec):
-        SweepConfig(tol=0.0)
-    # a non-finite tolerance would stop refinement after one step (inf)
-    # or run every bracket to the step cap (nan)
-    for tol in (math.inf, math.nan):
-        with pytest.raises(InvalidSpec):
-            SweepConfig(tol=tol)
-    with pytest.raises(InvalidSpec):
-        SweepConfig(top_k=0)
+    # the grid is the only knob: one bracket per matrix, a fixed angle stop
+    assert [f.name for f in dataclasses.fields(SweepConfig)] == ["grid_points"]
 
 
 def test_non_square_raises_not_square():
@@ -312,8 +306,8 @@ def test_coarse_grid_misses_are_found_by_restarts(monkeypatch):
     # also when the draws of one size run as one stack.
     refine, calls = radius._refine, []
     monkeypatch.setattr(radius, "_refine", lambda *a: calls.append(1) or refine(*a))
-    coarse = SweepConfig(grid_points=8, top_k=1)
-    fine = SweepConfig(grid_points=5760, top_k=8)
+    coarse = SweepConfig(grid_points=8)
+    fine = SweepConfig(grid_points=5760)
     rng = np.random.default_rng(16)
     restarted = 0
     draws = {6: [], 12: []}
@@ -332,22 +326,27 @@ def test_coarse_grid_misses_are_found_by_restarts(monkeypatch):
         assert len(calls) > 1
 
 
-def test_each_matrix_of_a_stack_refines_its_top_k_grid_maxima(monkeypatch):
-    # The first refinement gets, per matrix, its top_k largest grid maxima.
+def test_each_matrix_of_a_stack_refines_one_bracket_at_its_grid_maximum(monkeypatch):
+    # The first refinement gets one bracket per matrix, around its largest
+    # grid value; on a tie the later angle wins, as for the last matrix,
+    # whose f is the same at every angle.
     refine, calls = radius._refine, []
     monkeypatch.setattr(radius, "_refine", lambda M, own, t, lo, *a: calls.append((own, lo)) or refine(M, own, t, lo, *a))
     rng = np.random.default_rng(22)
     A, B, C = hermitian_stacks([random_complex(rng, 5) for _ in range(6)])
-    radius._max_on_circle(A, B, C, SweepConfig(grid_points=64, top_k=2))
+    flat = np.zeros((1, 5, 5), dtype=complex)
+    A, B = np.concatenate([A, flat]), np.concatenate([B, flat])
+    C = np.concatenate([C, np.diag([2.0, 1.0, 1.0, 0.5, 0.0])[None]])
+    radius._max_on_circle(A, B, C, SweepConfig(grid_points=64))
     own, lo = calls[0]
+    assert own.tolist() == list(range(7))
     h = 2 * math.pi / 64
     thetas = np.arange(64) * h
-    for i in range(6):
-        vals = np.linalg.eigvalsh(np.cos(thetas)[:, None, None] * A[i] - np.sin(thetas)[:, None, None] * B[i])[:, -1]
-        peaks = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
-        top = peaks[np.argsort(vals[peaks])[::-1][:2]]
-        assert np.rint((lo[own == i] + h) / h).astype(int).tolist() == top.tolist()
-    assert len(own) == 12
+    for i in range(7):
+        vals = np.linalg.eigvalsh(C[i] + np.cos(thetas)[:, None, None] * A[i] - np.sin(thetas)[:, None, None] * B[i])[:, -1]
+        top = np.flatnonzero(vals == vals.max())[-1]
+        assert round((lo[i] + h) / h) == top
+    assert round((lo[6] + h) / h) == 63
 
 
 def stack_member(kind, n, seed, scale):
@@ -479,3 +478,56 @@ def test_sup_theta_norm_and_off_diag_radius_are_certified(sweeps):
     # each off_diag_radius runs one sup_theta_norm sweep and one radius sweep
     assert len(sweeps) == 60
     assert all(r.certified and r.margin <= 1e-8 * r.omega for r in sweeps)
+
+
+# Exact oracles for the one-bracket kernel: each property runs at grids 8,
+# 16 and 720, and the sweeps fixture fails any uncertified result.
+oracle_draws = dict(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), grid=st.sampled_from([8, 16, 720]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**oracle_draws)
+def test_hermitian_radius_is_the_norm(n, seed, grid):
+    G = random_complex(np.random.default_rng(seed), n)
+    H = G + G.conj().T
+    res = numerical_radius(H, SweepConfig(grid_points=grid))
+    assert res.certified
+    assert res.omega == pytest.approx(spectral_norm(H), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**oracle_draws)
+def test_normal_radius_is_the_spectral_radius(n, seed, grid):
+    rng = np.random.default_rng(seed)
+    lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+    U = random_unitary(rng, n)
+    res = numerical_radius(U @ np.diag(lam) @ U.conj().T, SweepConfig(grid_points=grid))
+    assert res.certified
+    assert res.omega == pytest.approx(np.abs(lam).max(), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**oracle_draws, scale=st.sampled_from([1e-150, 1e150]), phase=st.floats(0.0, 2 * math.pi))
+def test_radius_homogeneous_and_unitarily_invariant_at_extreme_scales(n, seed, grid, scale, phase):
+    rng = np.random.default_rng(seed)
+    T, U = random_complex(rng, n), random_unitary(rng, n)
+    cfg = SweepConfig(grid_points=grid)
+    w = numerical_radius(T, cfg).omega
+    res = numerical_radius(scale * np.exp(1j * phase) * (U @ T @ U.conj().T), cfg)
+    assert res.certified
+    assert res.omega == pytest.approx(scale * w, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**oracle_draws, kind=st.sampled_from(["random", "rank-one"]))
+def test_level_test_is_never_clear_below_the_radius(n, seed, grid, kind):
+    # w >= omega, as the witness attains omega, so the level is below w.  The
+    # kernel asks only at levels above a value f takes, as clear means "no
+    # crossing"; so no constant f (the shift), which never crosses a lower level.
+    T = stack_member(kind, n, seed, 1.0)
+    res = numerical_radius(T, SweepConfig(grid_points=grid))
+    A, B, C = hermitian_stacks([T])
+    eta = radius._CERT_RTOL * (1.0 + res.omega)
+    level = res.omega - 1e-6 * (1.0 + res.omega)
+    clear, _, _ = radius._angles_above(A, B, C, np.array([level - eta]), np.array([eta]))
+    assert clear.tolist() == [False]
