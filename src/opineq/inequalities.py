@@ -1,9 +1,11 @@
 """Operator inequalities as checkable predicates.
 
 Every bound is evaluated into a BoundReport carrying both sides, the
-slack rhs - lhs, and a tolerance; ``holds`` means slack >= -tol.  The
-uniform default tolerance is 1e-8 * (1 + rhs), wide enough to absorb
-eigensolver error stacking through nested radius computations.
+slack rhs - lhs, and a tolerance; ``holds`` means slack >= -tol.  A report
+built without a tolerance takes ``default_tol``, 1e-8 * (1 + |rhs|),
+wide enough to absorb eigensolver error stacking through nested radius
+computations; only majorization and the positivity suite set their own.
+Sides that are not finite floats raise NonFinite.
 """
 
 from __future__ import annotations
@@ -13,15 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ensembles import trial_rng
 from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
     HypothesisUnmet,
     InvalidSpec,
+    NonFinite,
     NotHermitian,
     NotPSD,
 )
 from .linalg import (
+    _require_square,
     as_matrix,
     block2,
     herm_eig,
@@ -60,17 +65,23 @@ def default_tol(rhs: float) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated inequality instance: lhs <= rhs up to tol."""
+    """One evaluated inequality instance: lhs <= rhs up to tol.
+
+    ``tol`` defaults to ``default_tol`` of ``rhs``; a side that is not finite
+    raises NonFinite.
+    """
 
     name: str
     lhs: float
     rhs: float
-    tol: float
+    tol: float | None = None
     witness: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
-            raise ValueError(f"{self.name}: bound sides must be finite")
+            raise NonFinite(f"{self.name}: bound sides must be finite")
+        if self.tol is None:
+            object.__setattr__(self, "tol", default_tol(self.rhs))
 
     @property
     def slack(self) -> float:
@@ -174,11 +185,16 @@ def block_positivity(A, B, C, samples: int | None = None, seed: int = 0) -> Posi
     schur_residual = float(herm_eig(schur).values[0])
 
     scale = 1.0 + max(norm_a, norm_b, spectral_norm(C))
-    eps_ratio = 1e-14 * scale * scale
     B_eps = B + 1e-8 * (1.0 + norm_b) * np.eye(m)
+    # The ratio is unchanged when A, B and C scale together, so its route
+    # runs on everything scaled by the power of two p2 ~ 1/scale: exact,
+    # and no product of two entries can overflow.
+    p2 = math.ldexp(1.0, -math.frexp(scale)[1])
+    A, B, C, A_eps, B_eps = (p2 * M for M in (A, B, C, A_eps, B_eps))
+    eps_ratio = 1e-14 * (p2 * scale) * (p2 * scale)
 
     n_samples = samples if samples is not None else 10 * max(n, m) ** 2
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64)))
+    rng = trial_rng(seed, 0)
 
     # Each row of a draw is one pair (Re u, Im u, Re v, Im v): the same
     # stream order as drawing the four vectors pair by pair.
@@ -241,7 +257,7 @@ def majorization_equiv(T, S, samples: int = 40, seed: int = 0) -> tuple[BoundRep
     tol_order = 1e-9 * scale
     tol_vec = 1e-8 * (1.0 + norm_t + norm_s)
 
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 1], dtype=np.uint64)))
+    rng = trial_rng(seed, 1)
     xs = rng.normal(size=(samples, k)) + 1j * rng.normal(size=(samples, k))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
 
@@ -293,10 +309,7 @@ def corner_norm_report(A, B, C) -> BoundReport:
     is_psd, min_eig, norm_T = _check_block_psd(A, B, C)
     if not is_psd:
         raise NotPSD(f"block minimum eigenvalue {min_eig:.3e}")
-    rhs = norm_T / 2.0
-    return BoundReport(
-        name="corner-half-norm", lhs=spectral_norm(C), rhs=rhs, tol=default_tol(rhs)
-    )
+    return BoundReport(name="corner-half-norm", lhs=spectral_norm(C), rhs=norm_T / 2.0)
 
 
 def compression_bound_report(A, B, C) -> BoundReport:
@@ -310,8 +323,8 @@ def compression_bound_report(A, B, C) -> BoundReport:
     if not is_psd:
         raise HypothesisUnmet("block-psd", f"minimum eigenvalue {min_eig:.3e}")
     A, B, C = as_matrix(A), as_matrix(B), as_matrix(C)
-    U = polar(C).u
-    absC = matrix_abs(C)
+    p = polar(C)
+    U, absC = p.u, p.abs_factor
     scale_c = 1.0 + spectral_norm(C)
     if spectral_norm(U) > 1.0 + 1e-9:
         raise HypothesisUnmet("contraction", "||U|| > 1")
@@ -321,9 +334,8 @@ def compression_bound_report(A, B, C) -> BoundReport:
         raise HypothesisUnmet("range-support", "U U* B != B")
     if spectral_norm(U.conj().T @ C - absC) > 1e-8 * scale_c:
         raise HypothesisUnmet("adjoint-polar-identity", "U* C != |C|")
-    rhs = spectral_norm(A + U.conj().T @ B @ U)
     return BoundReport(
-        name="compression-bound", lhs=norm_T, rhs=rhs, tol=default_tol(rhs)
+        name="compression-bound", lhs=norm_T, rhs=spectral_norm(A + U.conj().T @ B @ U)
     )
 
 
@@ -340,19 +352,26 @@ def mixed_schwarz(T, x, y, alpha: float) -> BoundReport:
     yv = np.asarray(y, dtype=np.complex128).ravel()
     if xv.size != T.shape[1] or yv.size != T.shape[0]:
         raise DimensionMismatch("x must match cols(T) and y rows(T)")
-    lhs = abs(inner(T @ xv, yv)) ** 2
+    z = abs(inner(T @ xv, yv))
     Pa = matrix_power_psd(matrix_abs(T), alpha)
     Pb = matrix_power_psd(matrix_abs(T.conj().T), 2.0 - alpha)
     ra = max(float(np.real(inner(Pa @ xv, xv))), 0.0)
     rb = max(float(np.real(inner(Pb @ yv, yv))), 0.0)
-    rhs = ra * rb
-    return BoundReport(
-        name=f"mixed-schwarz-{alpha:g}", lhs=lhs, rhs=rhs, tol=default_tol(rhs)
-    )
+    # products, not powers: a side beyond the float range is inf, which
+    # BoundReport rejects as NonFinite
+    return BoundReport(name=f"mixed-schwarz-{alpha:g}", lhs=z * z, rhs=ra * rb)
 
 
 def _abs_pair(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|T|, |T*|) of a square T."""
+    T = _require_square(T)
     return matrix_abs(T), matrix_abs(T.conj().T)
+
+
+def _sum_diff_omega(T: np.ndarray, cfg: SweepConfig | None) -> tuple[float, float, float]:
+    """s = ||(|T|+|T*|)||, d = ||(|T|-|T*|)|| and w(T)."""
+    absT, absTs = _abs_pair(T)
+    return spectral_norm(absT + absTs), spectral_norm(absT - absTs), _omega(T, cfg)
 
 
 def _half_diff_matrices(T) -> dict[str, np.ndarray]:
@@ -382,27 +401,11 @@ def half_difference_reports(T, cfg: SweepConfig | None = None) -> list[BoundRepo
     rhs = spectral_norm(absT + absTs) / 2.0
     reT, imT = re_im_parts(T)
     omegas = _half_diff_omegas(T, cfg)
-    reports = [
-        BoundReport(name=f"half-diff-{key}", lhs=val, rhs=rhs, tol=default_tol(rhs))
-        for key, val in omegas.items()
+    return [
+        *(BoundReport(name=f"half-diff-{key}", lhs=val, rhs=rhs) for key, val in omegas.items()),
+        BoundReport(name="half-diff-lower-re", lhs=spectral_norm(reT), rhs=omegas["plus-re"]),
+        BoundReport(name="half-diff-lower-im", lhs=spectral_norm(imT), rhs=omegas["plus-im"]),
     ]
-    reports.append(
-        BoundReport(
-            name="half-diff-lower-re",
-            lhs=spectral_norm(reT),
-            rhs=omegas["plus-re"],
-            tol=default_tol(omegas["plus-re"]),
-        )
-    )
-    reports.append(
-        BoundReport(
-            name="half-diff-lower-im",
-            lhs=spectral_norm(imT),
-            rhs=omegas["plus-im"],
-            tol=default_tol(omegas["plus-im"]),
-        )
-    )
-    return reports
 
 
 def block_pair_report(A, B, cfg: SweepConfig | None = None) -> BoundReport:
@@ -419,9 +422,7 @@ def block_pair_report(A, B, cfg: SweepConfig | None = None) -> BoundReport:
     alpha1 = _omega(np.block([[corner, d], [-d.conj().T, diag]]), cfg)
     alpha2 = _omega(np.block([[corner, -d], [d.conj().T, diag]]), cfg)
     rhs = max(spectral_norm(absA + absB), spectral_norm(absAs + absBs))
-    return BoundReport(
-        name="block-pair", lhs=max(alpha1, alpha2), rhs=rhs, tol=default_tol(rhs)
-    )
+    return BoundReport(name="block-pair", lhs=max(alpha1, alpha2), rhs=rhs)
 
 
 def radius_upper_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport]:
@@ -431,16 +432,11 @@ def radius_upper_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport]
     s = ||(|T|+|T*|)||, d = ||(|T|-|T*|)||, and the half-sum bound
     w <= s/2.  Neither dominates the other.
     """
-    T = as_matrix(T)
-    absT, absTs = _abs_pair(T)
-    s = spectral_norm(absT + absTs)
-    d = spectral_norm(absT - absTs)
-    omega = _omega(T, cfg)
-    rhs1 = s / 4.0 + 0.5 * math.sqrt(omega**2 + d**2 / 4.0)
-    rhs2 = s / 2.0
+    s, d, omega = _sum_diff_omega(as_matrix(T), cfg)
+    implicit = s / 4.0 + 0.5 * math.hypot(omega, d / 2.0)
     return [
-        BoundReport(name="implicit-radius-bound", lhs=omega, rhs=rhs1, tol=default_tol(rhs1)),
-        BoundReport(name="abs-sum-half-bound", lhs=omega, rhs=rhs2, tol=default_tol(rhs2)),
+        BoundReport(name="implicit-radius-bound", lhs=omega, rhs=implicit),
+        BoundReport(name="abs-sum-half-bound", lhs=omega, rhs=s / 2.0),
     ]
 
 
@@ -454,17 +450,14 @@ def beta_chain_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport]:
     one has s = 2, d = 1, w = ||T|| = 1, so beta1 = (2 + sqrt 5)/4 > 1 = beta2.
     """
     T = as_matrix(T)
-    absT, absTs = _abs_pair(T)
-    s = spectral_norm(absT + absTs)
-    d = spectral_norm(absT - absTs)
-    omega = _omega(T, cfg)
-    beta1 = (s + math.sqrt(d**2 + 4.0 * omega**2)) / 4.0
+    s, d, omega = _sum_diff_omega(T, cfg)
+    beta1 = (s + math.hypot(d, 2.0 * omega)) / 4.0
     beta2 = (spectral_norm(T) + omega) / 2.0
     lhs = max(_half_diff_omegas(T, cfg).values())
     return [
-        BoundReport(name="beta-chain-omegas-le-beta1", lhs=lhs, rhs=beta1, tol=default_tol(beta1)),
-        BoundReport(name="beta-chain-beta1-le-beta2", lhs=beta1, rhs=beta2, tol=default_tol(beta2)),
-        BoundReport(name="beta-chain-omegas-le-beta2", lhs=lhs, rhs=beta2, tol=default_tol(beta2)),
+        BoundReport(name="beta-chain-omegas-le-beta1", lhs=lhs, rhs=beta1),
+        BoundReport(name="beta-chain-beta1-le-beta2", lhs=beta1, rhs=beta2),
+        BoundReport(name="beta-chain-omegas-le-beta2", lhs=lhs, rhs=beta2),
     ]
 
 
@@ -493,7 +486,7 @@ def aluthge_bound_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport
     omega = _omega(T, cfg)
     mean_bound = 0.5 * (spectral_norm(T) + _omega(tilde, cfg))
     return [
-        BoundReport(name="aluthge-bound-1", lhs=omega, rhs=bound1, tol=default_tol(bound1)),
-        BoundReport(name="aluthge-bound-2", lhs=omega, rhs=bound2, tol=default_tol(bound2)),
-        BoundReport(name="aluthge-mean-bound", lhs=omega, rhs=mean_bound, tol=default_tol(mean_bound)),
+        BoundReport(name="aluthge-bound-1", lhs=omega, rhs=bound1),
+        BoundReport(name="aluthge-bound-2", lhs=omega, rhs=bound2),
+        BoundReport(name="aluthge-mean-bound", lhs=omega, rhs=mean_bound),
     ]

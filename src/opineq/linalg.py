@@ -77,7 +77,10 @@ def inner(x, y) -> complex:
 
 
 def fro_norm(T) -> float:
-    return float(np.linalg.norm(np.asarray(T)))
+    """Frobenius norm, taken of T divided by its largest entry so that no
+    square overflows or underflows."""
+    top = float(np.max(np.abs(T), initial=0.0))
+    return top * float(np.linalg.norm(np.asarray(T) / top)) if top > 0.0 else 0.0
 
 
 def spectral_norm(T) -> float:
@@ -173,7 +176,8 @@ def matrix_power_psd(P, alpha: float) -> np.ndarray:
 
     Eigenvalues in [-1e-9*(1+||P||), 0) are clamped to 0; anything below
     raises NotPSD.  Zero eigenvalues obey 0**0 := 0, so alpha = 0 yields
-    the orthogonal projection onto range(P).
+    the orthogonal projection onto range(P).  An eigenvalue whose power
+    overflows raises NonFinite.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
@@ -184,7 +188,10 @@ def matrix_power_psd(P, alpha: float) -> np.ndarray:
         raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below PSD tolerance")
     w = np.clip(w, 0.0, None)
     w[w <= RANK_RTOL * float(w[-1])] = 0.0
-    powered = np.where(w > 0.0, w, 1.0) ** alpha
+    with np.errstate(over="ignore"):
+        powered = np.where(w > 0.0, w, 1.0) ** alpha
+    if not np.isfinite(powered).all():
+        raise NonFinite(f"P**{alpha:g} exceeds the float range")
     powered[w == 0.0] = 0.0
     R = (V * powered) @ V.conj().T
     return (R + R.conj().T) / 2.0

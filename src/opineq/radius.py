@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensembles import trial_rng
 from .errors import DimensionMismatch, IdentityMismatch, InvalidSpec
 from .linalg import as_matrix, block2, re_im_parts, spectral_norm
 
@@ -242,9 +243,7 @@ def rayleigh_radius(T, trials: int = 16, seed: int = 0) -> tuple[float, np.ndarr
     best_val = -1.0
     best_x = None
     for t in range(trials):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed % 2**64, t], dtype=np.uint64))
-        )
+        rng = trial_rng(seed, t)
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         x = x / np.linalg.norm(x)
         val = abs(np.vdot(x, T @ x))

@@ -2,9 +2,10 @@
 
 Five small tables of 2x2 matrices with reference values that were
 computed independently with a computer-algebra system (6 significant
-digits).  ``reproduce_tables`` recomputes every column with this
-library; agreement within TABLE_TOL = 5e-3 absolute guards against both
-transcription and solver regressions.
+digits).  ``reproduce_tables`` reads every column off the report that
+defines it in ``inequalities`` (or, for the radius itself, off
+``numerical_radius``); agreement within TABLE_TOL = 5e-3 absolute guards
+against both transcription and solver regressions.
 """
 
 from __future__ import annotations
@@ -13,8 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import _half_diff_matrices, aluthge_bound_reports, radius_upper_reports
-from .linalg import matrix_abs, spectral_norm
+from .inequalities import (
+    aluthge_bound_reports,
+    beta_chain_reports,
+    half_difference_reports,
+    radius_upper_reports,
+)
 from .radius import SweepConfig, numerical_radius
 
 TABLE_TOL = 5e-3
@@ -42,9 +47,6 @@ class GoldenTable:
     name: str
     columns: tuple[str, ...]
     rows: tuple[TableRow, ...]
-
-    def ok(self, tol: float = TABLE_TOL) -> bool:
-        return all(r.ok(tol) for r in self.rows)
 
 
 def _m(rows) -> np.ndarray:
@@ -83,57 +85,40 @@ _ALUTHGE_MEAN_ROWS = (
 )
 
 
+def _upper_columns(T, cfg):
+    implicit, half_sum = radius_upper_reports(T, cfg)
+    return implicit.lhs, implicit.rhs, half_sum.rhs
+
+
+def _aluthge_columns(T, cfg, last):
+    """The two Aluthge bounds, then the rhs of the report ``last``."""
+    b1, b2, _mean = aluthge_bound_reports(T, cfg)
+    return b1.rhs, b2.rhs, last.rhs
+
+
+_UPPER_COLUMNS = ("radius", "implicit_bound", "abs_sum_half")
+
+# (name, columns, rows, column function): the function maps (T, cfg) to the
+# row's values in column order.  abs_sum_half is the rhs of
+# abs-sum-half-bound; norm_radius_mean is beta2 = (||T|| + w(T))/2, the rhs
+# of beta-chain-beta1-le-beta2.
+_TABLES = (
+    ("half-diff-vs-radius", ("half_diff_re_radius", "radius"), HALF_DIFF_ROWS,
+     lambda T, cfg: (half_difference_reports(T, cfg)[0].lhs, numerical_radius(T, cfg).omega)),
+    ("radius-upper-bounds-a", _UPPER_COLUMNS, _UPPER_A_ROWS, _upper_columns),
+    ("radius-upper-bounds-b", _UPPER_COLUMNS, _UPPER_B_ROWS, _upper_columns),
+    ("aluthge-bounds", ("aluthge_bound_1", "aluthge_bound_2", "abs_sum_half"), _ALUTHGE_ROWS,
+     lambda T, cfg: _aluthge_columns(T, cfg, radius_upper_reports(T, cfg)[1])),
+    ("aluthge-vs-mean", ("aluthge_bound_1", "aluthge_bound_2", "norm_radius_mean"),
+     _ALUTHGE_MEAN_ROWS, lambda T, cfg: _aluthge_columns(T, cfg, beta_chain_reports(T, cfg)[1])),
+)
+
+
 def reproduce_tables(cfg: SweepConfig | None = None) -> list[GoldenTable]:
-    tables = []
-
-    cols = ("half_diff_re_radius", "radius")
-    rows = []
-    for label, T, ref in HALF_DIFF_ROWS:
-        computed = {
-            "half_diff_re_radius": numerical_radius(_half_diff_matrices(T)["plus-re"], cfg).omega,
-            "radius": numerical_radius(T, cfg).omega,
-        }
-        rows.append(TableRow(label, T, computed, dict(zip(cols, ref))))
-    tables.append(GoldenTable("half-diff-vs-radius", cols, tuple(rows)))
-
-    cols = ("radius", "implicit_bound", "abs_sum_half")
-    for name, data in (("radius-upper-bounds-a", _UPPER_A_ROWS),
-                       ("radius-upper-bounds-b", _UPPER_B_ROWS)):
-        rows = []
-        for label, T, ref in data:
-            implicit, half_sum = radius_upper_reports(T, cfg)
-            computed = {
-                "radius": implicit.lhs,
-                "implicit_bound": implicit.rhs,
-                "abs_sum_half": half_sum.rhs,
-            }
-            rows.append(TableRow(label, T, computed, dict(zip(cols, ref))))
-        tables.append(GoldenTable(name, cols, tuple(rows)))
-
-    cols = ("aluthge_bound_1", "aluthge_bound_2", "abs_sum_half")
-    rows = []
-    for label, T, ref in _ALUTHGE_ROWS:
-        b1, b2, _mean = aluthge_bound_reports(T, cfg)
-        absT = matrix_abs(T)
-        absTs = matrix_abs(T.conj().T)
-        computed = {
-            "aluthge_bound_1": b1.rhs,
-            "aluthge_bound_2": b2.rhs,
-            "abs_sum_half": spectral_norm(absT + absTs) / 2.0,
-        }
-        rows.append(TableRow(label, T, computed, dict(zip(cols, ref))))
-    tables.append(GoldenTable("aluthge-bounds", cols, tuple(rows)))
-
-    cols = ("aluthge_bound_1", "aluthge_bound_2", "norm_radius_mean")
-    rows = []
-    for label, T, ref in _ALUTHGE_MEAN_ROWS:
-        b1, b2, _mean = aluthge_bound_reports(T, cfg)
-        computed = {
-            "aluthge_bound_1": b1.rhs,
-            "aluthge_bound_2": b2.rhs,
-            "norm_radius_mean": (spectral_norm(T) + numerical_radius(T, cfg).omega) / 2.0,
-        }
-        rows.append(TableRow(label, T, computed, dict(zip(cols, ref))))
-    tables.append(GoldenTable("aluthge-vs-mean", cols, tuple(rows)))
-
-    return tables
+    return [
+        GoldenTable(name, cols, tuple(
+            TableRow(label, T, dict(zip(cols, fn(T, cfg))), dict(zip(cols, ref)))
+            for label, T, ref in rows
+        ))
+        for name, cols, rows, fn in _TABLES
+    ]

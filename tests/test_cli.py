@@ -213,6 +213,33 @@ def test_input_errors(tmp_path, capsys):
     assert main(["positivity", str(good), str(good), str(good), "--samples", "0"]) == 2
 
 
+def test_bounds_at_extreme_scale(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    save_matrix(1e160 * np.array([[1, 1], [0, 1]]), big)
+    for suite in ("implicit", "beta-chain"):
+        assert main(["bounds", str(big), "--suite", suite]) == 0
+    # sides of about 1e320 are no floats: an input error, not a violation
+    capsys.readouterr()
+    assert main(["bounds", str(big), "--suite", "mixed-schwarz"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_positivity_at_extreme_scale(tmp_path, capsys):
+    block = tmp_path / "c.json"
+    save_matrix(1e160 * np.eye(2), block)
+    assert main(["positivity", str(block), str(block), str(block)]) == 0
+    values = dict(line.split(",") for line in capsys.readouterr().out.split()[1:])
+    assert float(values["condition_ii_max_ratio"]) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_bounds_rejects_non_square_matrix(tmp_path, capsys):
+    rect = tmp_path / "rect.json"
+    save_matrix(np.ones((2, 3)), rect)
+    for suite in ("half-diff", "implicit", "beta-chain"):
+        assert main(["bounds", str(rect), "--suite", suite]) == 2
+        assert "square" in capsys.readouterr().err
+
+
 def test_boolean_matrix_json_is_an_input_error(tmp_path, capsys):
     # JSON true/false are no sizes or entries; exit 1 would claim a violation
     path = tmp_path / "bool.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from opineq import (
     HypothesisUnmet,
     InvalidSpec,
+    NonFinite,
     NotPSD,
+    NotSquare,
     aluthge_bound_reports,
     beta_chain_reports,
     block_pair_report,
@@ -51,6 +54,13 @@ def test_bound_report_slack_holds():
     assert d == {"name": "x", "lhs": 1.0, "rhs": 2.0, "slack": 1.0, "tol": 1e-8, "holds": True}
 
 
+def test_bound_report_default_tol_and_non_finite_sides():
+    assert BoundReport(name="x", lhs=1.0, rhs=-9.0).tol == default_tol(-9.0)
+    assert BoundReport(name="x", lhs=1.0, rhs=9.0, tol=0.5).tol == 0.5
+    with pytest.raises(NonFinite):
+        BoundReport(name="x", lhs=math.inf, rhs=0.0)
+
+
 # ---------------------------------------------------------- block positivity
 
 
@@ -68,6 +78,20 @@ def test_block_positivity_violating_corner():
     assert v.min_eig == pytest.approx(-1.0, abs=1e-12)
     assert v.condition_ii_max_ratio == pytest.approx(4.0, abs=1e-6)
     assert v.schur_residual < -0.5
+
+
+@pytest.mark.parametrize("c", [1e155, 1e160, 1e200])
+def test_block_positivity_ratio_is_scale_free(c):
+    # the ratio route's products of two entries reach c**2, beyond the float range
+    I2 = np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psd = block_positivity(c * I2, c * I2, c * I2, seed=1)
+        non_psd = block_positivity(c * I2, c * I2, 1.5 * c * I2, seed=1)
+    assert psd.is_psd and not non_psd.is_psd
+    assert psd.condition_ii_max_ratio == pytest.approx(1.0, rel=1e-12)
+    assert non_psd.condition_ii_max_ratio == pytest.approx(2.25, rel=1e-12)
+    assert positivity_consistent(psd, c * I2, c * I2)
 
 
 def test_block_positivity_rejects_no_samples():
@@ -268,6 +292,15 @@ def test_mixed_schwarz_rectangular_and_endpoints():
         assert mixed_schwarz(T, x, y, alpha).holds
 
 
+def test_mixed_schwarz_sides_beyond_float_range_are_non_finite():
+    # both sides are about 1e320: an input error, not an OverflowError
+    T = 1e160 * np.array([[1, 1], [0, 1]], dtype=complex)
+    x = np.array([1.0, 1.0]) / math.sqrt(2)
+    for alpha in (0.0, 1.0, 2.0):
+        with pytest.raises(NonFinite):
+            mixed_schwarz(T, x, x, alpha)
+
+
 def test_mixed_schwarz_fuzz():
     for i in range(150):
         rng = trial_rng(12, i)
@@ -376,6 +409,22 @@ def test_radius_upper_fuzz():
         T = unit_disc_matrix(rng, n)
         for r in radius_upper_reports(T):
             assert r.slack >= -1e-8 * (1 + r.rhs)
+
+
+@pytest.mark.parametrize("reports", [radius_upper_reports, beta_chain_reports])
+def test_implicit_and_beta_chain_bounds_scale_to_1e160(reports):
+    # sqrt(w**2 + d**2/4) and sqrt(d**2 + 4 w**2) overflow as written at this scale
+    T = np.array([[1, 1], [0, 1]], dtype=complex)
+    for big, unit in zip(reports(1e160 * T), reports(T)):
+        assert big.name == unit.name
+        assert big.lhs == pytest.approx(1e160 * unit.lhs, rel=1e-12)
+        assert big.rhs == pytest.approx(1e160 * unit.rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("reports", [half_difference_reports, radius_upper_reports, beta_chain_reports])
+def test_abs_pair_suites_reject_non_square(reports):
+    with pytest.raises(NotSquare):
+        reports(np.ones((2, 3)))
 
 
 # ------------------------------------------------------------- beta chain

@@ -17,6 +17,7 @@ from opineq import (
     split2,
     svd,
 )
+from opineq.linalg import is_hermitian
 
 
 def random_complex(rng, n, m=None):
@@ -145,6 +146,16 @@ def test_matrix_power_psd_multiplicative():
 def test_matrix_power_psd_rejects_indefinite():
     with pytest.raises(NotPSD):
         matrix_power_psd(np.diag([1.0, -1.0]), 0.5)
+
+
+def test_fro_norm_and_is_hermitian_at_extreme_scale():
+    # the squares of the entries underflow or overflow
+    H = np.array([[1.0, 2j], [-2j, 3.0]])
+    for c in (1e-200, 1e155, 1e200):
+        assert fro_norm(c * H) == pytest.approx(c * math.sqrt(18), rel=1e-14)
+    for c in (1e155, 1e200):
+        assert is_hermitian(c * H)
+        assert not is_hermitian(c * (H + np.triu(H)))
 
 
 def test_spectral_norm_examples():
