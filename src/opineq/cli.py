@@ -76,12 +76,10 @@ def cmd_bounds(args) -> int:
 def cmd_tables(args) -> int:
     tables = reproduce_tables(_sweep_config(args))
     ext = "csv" if args.format == "csv" else "md"
-    all_ok = True
+    all_ok = all(r.ok() for table in tables for r in table.rows)
     for table in tables:
-        columns = ["row"]
-        for c in table.columns:
-            columns += [c, f"{c}_ref"]
-        columns += ["max_error", "ok"]
+        value_columns = [name for c in table.columns for name in (c, f"{c}_ref")]
+        columns = ["row", *value_columns, "max_error", "ok"]
         rows = []
         for r in table.rows:
             row = [r.label]
@@ -89,7 +87,6 @@ def cmd_tables(args) -> int:
                 row += [r.computed[c], r.reference[c]]
             row += [r.max_error, r.ok()]
             rows.append(row)
-            all_ok = all_ok and r.ok()
         text = render_table(columns, rows, args.format)
         if args.out:
             path = Path(args.out)

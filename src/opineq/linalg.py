@@ -78,9 +78,11 @@ def inner(x, y) -> complex:
 
 def fro_norm(T) -> float:
     """Frobenius norm, taken of T divided by its largest entry so that no
-    square overflows or underflows."""
+    square overflows or underflows; NaN and inf entries give NaN and inf."""
     top = float(np.max(np.abs(T), initial=0.0))
-    return top * float(np.linalg.norm(np.asarray(T) / top)) if top > 0.0 else 0.0
+    if not 0.0 < top < np.inf:
+        return top
+    return top * float(np.linalg.norm(np.asarray(T) / top))
 
 
 def spectral_norm(T) -> float:

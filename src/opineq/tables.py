@@ -2,9 +2,9 @@
 
 Five small tables of 2x2 matrices with reference values that were
 computed independently with a computer-algebra system (6 significant
-digits).  ``reproduce_tables`` reads every column off the report that
-defines it in ``inequalities`` (or, for the radius itself, off
-``numerical_radius``); agreement within TABLE_TOL = 5e-3 absolute guards
+digits).  ``reproduce_tables`` reads each bound column by name off the
+report in ``inequalities`` that defines it, and each radius column off
+``numerical_radius``; agreement within TABLE_TOL = 5e-3 absolute guards
 against both transcription and solver regressions.
 """
 
@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import (
+    BoundReport,
+    _half_diff_matrices,
     aluthge_bound_reports,
     beta_chain_reports,
-    half_difference_reports,
     radius_upper_reports,
 )
 from .radius import SweepConfig, numerical_radius
@@ -80,37 +81,46 @@ _ALUTHGE_ROWS = (
 )
 
 # (label, matrix, (aluthge_bound_1, aluthge_bound_2, norm_radius_mean))
-_ALUTHGE_MEAN_ROWS = (
+_MEAN_ROWS = (
     ("am-1", _m([[6, 7], [10, 7]]), (15.0159, 15.0164, 15.1001)),
 )
 
 
+def _named(report_fn, T, cfg) -> dict[str, BoundReport]:
+    return {r.name: r for r in report_fn(T, cfg)}
+
+
+def _half_diff_columns(T, cfg):
+    plus_re = _half_diff_matrices(T)["plus-re"]
+    return numerical_radius(plus_re, cfg).omega, numerical_radius(T, cfg).omega
+
+
 def _upper_columns(T, cfg):
-    implicit, half_sum = radius_upper_reports(T, cfg)
-    return implicit.lhs, implicit.rhs, half_sum.rhs
+    up = _named(radius_upper_reports, T, cfg)
+    return up["implicit-radius-bound"].lhs, up["implicit-radius-bound"].rhs, up["abs-sum-half-bound"].rhs
 
 
-def _aluthge_columns(T, cfg, last):
-    """The two Aluthge bounds, then the rhs of the report ``last``."""
-    b1, b2, _mean = aluthge_bound_reports(T, cfg)
-    return b1.rhs, b2.rhs, last.rhs
+def _aluthge_columns(T, cfg):
+    al, up = _named(aluthge_bound_reports, T, cfg), _named(radius_upper_reports, T, cfg)
+    return al["aluthge-bound-1"].rhs, al["aluthge-bound-2"].rhs, up["abs-sum-half-bound"].rhs
+
+
+def _aluthge_mean_columns(T, cfg):
+    al, beta = _named(aluthge_bound_reports, T, cfg), _named(beta_chain_reports, T, cfg)
+    return al["aluthge-bound-1"].rhs, al["aluthge-bound-2"].rhs, beta["beta-chain-beta1-le-beta2"].rhs
 
 
 _UPPER_COLUMNS = ("radius", "implicit_bound", "abs_sum_half")
+_ALUTHGE_COLUMNS = ("aluthge_bound_1", "aluthge_bound_2")
 
 # (name, columns, rows, column function): the function maps (T, cfg) to the
-# row's values in column order.  abs_sum_half is the rhs of
-# abs-sum-half-bound; norm_radius_mean is beta2 = (||T|| + w(T))/2, the rhs
-# of beta-chain-beta1-le-beta2.
+# row's values in column order.  norm_radius_mean is beta2 = (||T|| + w(T))/2.
 _TABLES = (
-    ("half-diff-vs-radius", ("half_diff_re_radius", "radius"), HALF_DIFF_ROWS,
-     lambda T, cfg: (half_difference_reports(T, cfg)[0].lhs, numerical_radius(T, cfg).omega)),
+    ("half-diff-vs-radius", ("half_diff_re_radius", "radius"), HALF_DIFF_ROWS, _half_diff_columns),
     ("radius-upper-bounds-a", _UPPER_COLUMNS, _UPPER_A_ROWS, _upper_columns),
     ("radius-upper-bounds-b", _UPPER_COLUMNS, _UPPER_B_ROWS, _upper_columns),
-    ("aluthge-bounds", ("aluthge_bound_1", "aluthge_bound_2", "abs_sum_half"), _ALUTHGE_ROWS,
-     lambda T, cfg: _aluthge_columns(T, cfg, radius_upper_reports(T, cfg)[1])),
-    ("aluthge-vs-mean", ("aluthge_bound_1", "aluthge_bound_2", "norm_radius_mean"),
-     _ALUTHGE_MEAN_ROWS, lambda T, cfg: _aluthge_columns(T, cfg, beta_chain_reports(T, cfg)[1])),
+    ("aluthge-bounds", _ALUTHGE_COLUMNS + ("abs_sum_half",), _ALUTHGE_ROWS, _aluthge_columns),
+    ("aluthge-vs-mean", _ALUTHGE_COLUMNS + ("norm_radius_mean",), _MEAN_ROWS, _aluthge_mean_columns),
 )
 
 

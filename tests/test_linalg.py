@@ -156,6 +156,12 @@ def test_fro_norm_and_is_hermitian_at_extreme_scale():
     for c in (1e155, 1e200):
         assert is_hermitian(c * H)
         assert not is_hermitian(c * (H + np.triu(H)))
+    # NaN stays NaN, inf stays inf, and zero stays zero
+    assert math.isnan(fro_norm(np.array([[1.0, np.nan], [0.0, 1.0]])))
+    assert not is_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    assert fro_norm(np.array([[1.0, np.inf], [0.0, 1.0]])) == math.inf
+    assert fro_norm(np.array([[1.0, 1j * np.inf], [0.0, 1.0]])) == math.inf
+    assert fro_norm(np.zeros((2, 2))) == 0.0
 
 
 def test_spectral_norm_examples():
