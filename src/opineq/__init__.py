@@ -36,7 +36,6 @@ from .inequalities import (
     half_difference_reports,
     majorization_equiv,
     mixed_schwarz,
-    positivity_consistent,
     radius_upper_reports,
 )
 from .linalg import (

@@ -15,7 +15,7 @@ from .conjecture import conjecture_search, half_diff_slack
 from .ensembles import KINDS, EnsembleSpec, trial_rng
 from .errors import OpineqError
 from .fuzz import MATRIX_SUITE_NAMES, SUITE_NAMES, SUITES, run_suites
-from .inequalities import block_positivity, positivity_consistent
+from .inequalities import block_positivity
 from .matio import complex_to_str, dumps_matrix, load_matrix
 from .radius import SweepConfig, numerical_radius
 from .reporting import render_table, reports_json, reports_table
@@ -113,7 +113,7 @@ def cmd_positivity(args) -> int:
         ("sampled_pairs", verdict.sampled_pairs),
     ]
     _emit(render_table(("quantity", "value"), rows, args.format), args.out)
-    return 0 if positivity_consistent(verdict, A, B) else 1
+    return 0 if verdict.consistent else 1
 
 
 def cmd_fuzz(args) -> int:

@@ -26,7 +26,6 @@ from .inequalities import (
     half_difference_reports,
     majorization_equiv,
     mixed_schwarz,
-    positivity_consistent,
     radius_upper_reports,
 )
 from .linalg import spectral_norm, split2
@@ -169,7 +168,7 @@ def _suite_positivity(rng, spec, index, cfg):
     else:
         A, B, C = _nonpsd_blocks(rng, spec.dim)
         verdict = block_positivity(A, B, C, seed=int(rng.integers(0, 2**62)))
-        detected = not verdict.is_psd and positivity_consistent(verdict, A, B)
+        detected = not verdict.is_psd and verdict.consistent
         reports = [
             BoundReport(
                 name="nonpsd-detected",

@@ -46,7 +46,6 @@ __all__ = [
     "PositivityVerdict",
     "default_tol",
     "block_positivity",
-    "positivity_consistent",
     "majorization_equiv",
     "corner_norm_report",
     "compression_bound_report",
@@ -107,12 +106,14 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class PositivityVerdict:
-    """Outcome of the two-route block positivity check.
+    """Outcome of the three-route block positivity check.
 
     ``is_psd`` comes from the eigenvalue route; ``condition_ii_max_ratio``
     is the best found value of |<Cu,v>|^2 / (<Au,u> <Bv,v>), which exceeds
     1 exactly when the inner-product characterization fails; the Schur
     residual is the minimum eigenvalue of B - C (A + eps I)^(-1) C*.
+    ``psd_tol`` = 1e-9 * (1 + max(||A||, ||B||)) is the Schur residual's
+    PSD tolerance, and ``consistent`` says whether the routes agree.
     """
 
     is_psd: bool
@@ -120,10 +121,25 @@ class PositivityVerdict:
     schur_residual: float
     condition_ii_max_ratio: float
     sampled_pairs: int
+    psd_tol: float
+
+    @property
+    def consistent(self) -> bool:
+        """PSD: ratio <= 1 + 1e-6; not PSD: ratio > 1 or Schur residual < -psd_tol."""
+        if self.is_psd:
+            return self.condition_ii_max_ratio <= 1.0 + 1e-6
+        return self.condition_ii_max_ratio > 1.0 or self.schur_residual < -self.psd_tol
 
 
 def _omega(T, cfg: SweepConfig | None) -> float:
     return numerical_radius(T, cfg).omega
+
+
+def _unit_scale(M: np.ndarray) -> float:
+    """The power of 4 nearest 1/max|M| (1 for M = 0, at most 4**511): an exact scale with an
+    exact square root, after which no product of two entries of M leaves the float range."""
+    top = float(np.abs(M).max())
+    return math.ldexp(1.0, -2 * max(round(math.log2(top) / 2.0), -511)) if top > 0.0 else 1.0
 
 
 def _require_hermitian(M: np.ndarray, what: str) -> np.ndarray:
@@ -220,20 +236,8 @@ def block_positivity(A, B, C, samples: int | None = None, seed: int = 0) -> Posi
         schur_residual=schur_residual,
         condition_ii_max_ratio=best,
         sampled_pairs=n_samples,
+        psd_tol=1e-9 * (1.0 + max(norm_a, norm_b)),
     )
-
-
-def positivity_consistent(verdict: PositivityVerdict, A, B) -> bool:
-    """Whether the routes of ``block_positivity(A, B, C)`` agree.
-
-    A PSD verdict must keep the inner-product ratio at or below 1 (up to
-    1e-6); a non-PSD verdict must be caught by a ratio above 1 or by a
-    Schur residual below -1e-9 * (1 + max(||A||, ||B||)).
-    """
-    if verdict.is_psd:
-        return verdict.condition_ii_max_ratio <= 1.0 + 1e-6
-    tol_psd = 1e-9 * (1.0 + max(spectral_norm(A), spectral_norm(B)))
-    return verdict.condition_ii_max_ratio > 1.0 or verdict.schur_residual < -tol_psd
 
 
 def majorization_equiv(T, S, samples: int = 40, seed: int = 0) -> tuple[BoundReport, BoundReport]:
@@ -249,7 +253,10 @@ def majorization_equiv(T, S, samples: int = 40, seed: int = 0) -> tuple[BoundRep
     if T.shape[0] != S.shape[0]:
         raise DimensionMismatch("T and S must share their row dimension")
     k = T.shape[0]
-    M = S @ S.conj().T - T @ T.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = S @ S.conj().T - T @ T.conj().T
+    if not np.isfinite(M).all():
+        raise NonFinite("majorization: S S* - T T* exceeds the float range")
     m_min = float(herm_eig(M).values[0])
 
     norm_t, norm_s = spectral_norm(T), spectral_norm(S)
@@ -266,17 +273,19 @@ def majorization_equiv(T, S, samples: int = 40, seed: int = 0) -> tuple[BoundRep
     best_idx = int(np.argmax(sq_diffs))
 
     # Ascend x*(TT* - SS*)x by shifted power iteration (eigensolver-free,
-    # keeps this route independent of the operator-order route).
+    # keeps this route independent of the operator-order route), on
+    # p (TT* - SS*) with p = _unit_scale(M): the same iterates, and no norm overflows.
     x = xs[best_idx].copy()
-    Mneg = -M
-    shift = 1.0 + float(np.linalg.norm(Mneg))
+    p = _unit_scale(M)
+    Mneg = -p * M
+    shift = p + float(np.linalg.norm(Mneg))
     for _ in range(50):
         y = Mneg @ x + shift * x
         ny = np.linalg.norm(y)
         if ny == 0.0:
             break
         x = y / ny
-    ascended = max(float(np.max(sq_diffs)), float(np.real(np.vdot(x, Mneg @ x))))
+    ascended = max(float(np.max(sq_diffs)), float(np.real(np.vdot(x, Mneg @ x))) / p)
 
     premise_one = m_min >= -tol_order
     rep_one = BoundReport(
@@ -315,25 +324,17 @@ def corner_norm_report(A, B, C) -> BoundReport:
 def compression_bound_report(A, B, C) -> BoundReport:
     """||T|| <= ||A + U* B U|| for PSD T = [[A, C*], [C, B]], U = polar(C).u.
 
-    Applies only when U U* B = B (plus the polar identities, which the
-    construction meets automatically); failing hypotheses raise
-    HypothesisUnmet naming the condition.
+    HypothesisUnmet names the failing input hypothesis: "block-psd", or
+    "range-support" when U U* B != B.  ||U|| <= 1, U |C| = C and U* C = |C|
+    hold by construction (``polar`` cuts singular values at 1e-10 ||C||).
     """
     is_psd, min_eig, norm_T = _check_block_psd(A, B, C)
     if not is_psd:
         raise HypothesisUnmet("block-psd", f"minimum eigenvalue {min_eig:.3e}")
-    A, B, C = as_matrix(A), as_matrix(B), as_matrix(C)
-    p = polar(C)
-    U, absC = p.u, p.abs_factor
-    scale_c = 1.0 + spectral_norm(C)
-    if spectral_norm(U) > 1.0 + 1e-9:
-        raise HypothesisUnmet("contraction", "||U|| > 1")
-    if spectral_norm(U @ absC - C) > 1e-9 * scale_c:
-        raise HypothesisUnmet("polar-identity", "U |C| != C")
+    A, B = as_matrix(A), as_matrix(B)
+    U = polar(C).u
     if spectral_norm(U @ U.conj().T @ B - B) > 1e-7 * (1.0 + spectral_norm(B)):
         raise HypothesisUnmet("range-support", "U U* B != B")
-    if spectral_norm(U.conj().T @ C - absC) > 1e-8 * scale_c:
-        raise HypothesisUnmet("adjoint-polar-identity", "U* C != |C|")
     return BoundReport(
         name="compression-bound", lhs=norm_T, rhs=spectral_norm(A + U.conj().T @ B @ U)
     )
@@ -409,20 +410,19 @@ def half_difference_reports(T, cfg: SweepConfig | None = None) -> list[BoundRepo
 
 
 def block_pair_report(A, B, cfg: SweepConfig | None = None) -> BoundReport:
-    """max of the two paired-block radii against
-    max(||(|A|+|B|)||, ||(|A*|+|B*|)||)."""
+    """w(P) <= max(||(|A|+|B|)||, ||(|A*|+|B*|)||), P = [[|B*|-|A*|, A-B], [-(A-B)*, |A|-|B|]].
+
+    The paired block [[|B*|-|A*|, B-A], [(A-B)*, |A|-|B|]] is D P D for the
+    unitary D = diag(I, -I), and w is unitarily invariant: one radius serves both.
+    """
     A, B = as_matrix(A), as_matrix(B)
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise DimensionMismatch("A and B must be square matrices of equal size")
-    absA, absAs = _abs_pair(A)
-    absB, absBs = _abs_pair(B)
-    corner = absBs - absAs
-    diag = absA - absB
+    (absA, absAs), (absB, absBs) = _abs_pair(A), _abs_pair(B)
     d = A - B
-    alpha1 = _omega(np.block([[corner, d], [-d.conj().T, diag]]), cfg)
-    alpha2 = _omega(np.block([[corner, -d], [d.conj().T, diag]]), cfg)
+    lhs = _omega(np.block([[absBs - absAs, d], [-d.conj().T, absA - absB]]), cfg)
     rhs = max(spectral_norm(absA + absB), spectral_norm(absAs + absBs))
-    return BoundReport(name="block-pair", lhs=max(alpha1, alpha2), rhs=rhs)
+    return BoundReport(name="block-pair", lhs=lhs, rhs=rhs)
 
 
 def radius_upper_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport]:
@@ -469,22 +469,23 @@ def aluthge_bound_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport
       bound 1: w(T) <= sqrt(base + 2 w([[0, cross], [(t*)^2 / 2, 0]])) / 2
       bound 2: w(T) <= sqrt(base + w(cross) + w(t^2)/2) / 2
     plus the mean bound w(T) <= (||T|| + w(t))/2 for comparison.
+    The bounds are homogeneous of degree 1: they run on p T, p = _unit_scale(T), where
+    no square of an entry overflows, and are divided by p; w(T) is taken of T.
     """
     T = as_matrix(T)
-    res = aluthge(T)
-    tilde = res.tilde
-    absT = res.polar.abs_factor
+    p = _unit_scale(T)
+    res = aluthge(p * T)
+    tilde, absT = res.tilde, res.polar.abs_factor
     tilde_star = tilde.conj().T
     base_mat = absT @ absT + (tilde_star @ tilde + tilde @ tilde_star) / 4.0
     base = spectral_norm(base_mat)
     cross = absT @ tilde + tilde @ absT
-    n = T.shape[0]
-    zero = np.zeros((n, n), dtype=np.complex128)
+    zero = np.zeros_like(tilde)
     corner_block = np.block([[zero, cross], [tilde_star @ tilde_star / 2.0, zero]])
-    bound1 = 0.5 * math.sqrt(base + 2.0 * _omega(corner_block, cfg))
-    bound2 = 0.5 * math.sqrt(base + _omega(cross, cfg) + 0.5 * _omega(tilde @ tilde, cfg))
+    bound1 = 0.5 * math.sqrt(base + 2.0 * _omega(corner_block, cfg)) / p
+    bound2 = 0.5 * math.sqrt(base + _omega(cross, cfg) + 0.5 * _omega(tilde @ tilde, cfg)) / p
     omega = _omega(T, cfg)
-    mean_bound = 0.5 * (spectral_norm(T) + _omega(tilde, cfg))
+    mean_bound = 0.5 * (spectral_norm(T) + _omega(tilde, cfg) / p)
     return [
         BoundReport(name="aluthge-bound-1", lhs=omega, rhs=bound1),
         BoundReport(name="aluthge-bound-2", lhs=omega, rhs=bound2),

@@ -88,7 +88,7 @@ def _refine(M, own, t, lo, hi, owners):
     |f'| is within 4 ulps of max |lam|.  Returns (theta, value, vector)
     of the first largest eigenpair visited for each of the sorted ``owners``.
     """
-    M, seen = M if len(M) == 1 else M[own], []  # one matrix broadcasts over its brackets
+    M, seen = M[own], []
     for _ in range(_MAX_STEPS):
         A, B, C = M[:, 0], M[:, 1], M[:, 2]
         c, s = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
@@ -110,7 +110,7 @@ def _refine(M, own, t, lo, hi, owners):
         going = steep & (np.abs(nxt - t) > _ANGLE_TOL) & (hi - lo > _ANGLE_TOL)
         if not going.any():
             break
-        t, lo, hi, own, M = nxt[going], lo[going], hi[going], own[going], M if len(M) == 1 else M[going]
+        t, lo, hi, own, M = nxt[going], lo[going], hi[going], own[going], M[going]
     own, t, top, v = map(np.concatenate, zip(*seen))
     order = np.lexsort((-top, own))  # stable: visit order breaks ties
     first = order[np.searchsorted(own[order], owners)]

@@ -36,7 +36,6 @@ from opineq import (
     numerical_radius,
     off_diag_radius,
     polar,
-    positivity_consistent,
     radius_upper_reports,
     rayleigh_radius,
     reproduce_tables,
@@ -208,7 +207,7 @@ def test_criterion_3_theorem_fuzz_suite():
         G = g.conj().T @ g
         A, B = G[:n, :n], G[n:, n:]
         v = block_positivity(A, B, G[n:, :n], seed=i)
-        if not (v.is_psd and positivity_consistent(v, A, B)):
+        if not (v.is_psd and v.consistent):
             viol.append((i, "gram", v.condition_ii_max_ratio))
     for i in range(200):
         rng = trial_rng(310, i)
@@ -223,7 +222,7 @@ def test_criterion_3_theorem_fuzz_suite():
                 break
             C = 2 * C
         v = block_positivity(A, B, C, seed=i)
-        if v.is_psd or not positivity_consistent(v, A, B):
+        if v.is_psd or not v.consistent:
             viol.append((i, "non-psd", v.condition_ii_max_ratio))
     failures["positivity"] = viol
 

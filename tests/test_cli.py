@@ -216,7 +216,7 @@ def test_input_errors(tmp_path, capsys):
 def test_bounds_at_extreme_scale(tmp_path, capsys):
     big = tmp_path / "big.json"
     save_matrix(1e160 * np.array([[1, 1], [0, 1]]), big)
-    for suite in ("implicit", "beta-chain"):
+    for suite in ("implicit", "beta-chain", "aluthge"):
         assert main(["bounds", str(big), "--suite", suite]) == 0
     # sides of about 1e320 are no floats: an input error, not a violation
     capsys.readouterr()

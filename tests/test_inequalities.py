@@ -21,10 +21,11 @@ from opineq import (
     majorization_equiv,
     matrix_abs,
     mixed_schwarz,
-    positivity_consistent,
+    numerical_radius,
     radius_upper_reports,
     spectral_norm,
 )
+from opineq import inequalities
 from opineq.ensembles import trial_rng, unit_disc_matrix
 from opineq.inequalities import BoundReport, PositivityVerdict
 
@@ -91,7 +92,7 @@ def test_block_positivity_ratio_is_scale_free(c):
     assert psd.is_psd and not non_psd.is_psd
     assert psd.condition_ii_max_ratio == pytest.approx(1.0, rel=1e-12)
     assert non_psd.condition_ii_max_ratio == pytest.approx(2.25, rel=1e-12)
-    assert positivity_consistent(psd, c * I2, c * I2)
+    assert psd.consistent
 
 
 def test_block_positivity_rejects_no_samples():
@@ -103,13 +104,17 @@ def test_block_positivity_rejects_no_samples():
 def test_positivity_consistent():
     I2 = np.eye(2)
     psd = block_positivity(I2, I2, 0.5 * I2, seed=1)
-    assert psd.is_psd and positivity_consistent(psd, I2, I2)
+    assert psd.is_psd and psd.consistent
     non_psd = block_positivity(I2, I2, 2 * I2, seed=1)
-    assert not non_psd.is_psd and positivity_consistent(non_psd, I2, I2)
+    assert not non_psd.is_psd and non_psd.consistent
+    assert non_psd.psd_tol == pytest.approx(2e-9, rel=1e-12)
     # routes that disagree: a PSD verdict with a ratio above 1, and a
     # non-PSD verdict that neither the ratio nor the Schur route catches
-    assert not positivity_consistent(PositivityVerdict(True, 0.0, 0.0, 1.5, 1), I2, I2)
-    assert not positivity_consistent(PositivityVerdict(False, -1.0, 0.0, 0.5, 1), I2, I2)
+    assert not PositivityVerdict(True, 0.0, 0.0, 1.5, 1, 2e-9).consistent
+    assert not PositivityVerdict(False, -1.0, 0.0, 0.5, 1, 2e-9).consistent
+    # the Schur route catches a non-PSD verdict only below -psd_tol
+    assert not PositivityVerdict(False, -1.0, -1e-9, 0.5, 1, 2e-9).consistent
+    assert PositivityVerdict(False, -1.0, -3e-9, 0.5, 1, 2e-9).consistent
 
 
 def test_block_positivity_gram_ratio_below_one():
@@ -136,7 +141,7 @@ def test_block_positivity_detects_non_psd():
             C = 2 * C
         v = block_positivity(A, B, C, seed=i)
         assert not v.is_psd
-        assert positivity_consistent(v, A, B)
+        assert v.consistent
 
 
 def test_block_positivity_ratio_matches_cholesky_oracle():
@@ -185,6 +190,28 @@ def test_majorization_contraction_construction():
         one, two = majorization_equiv(S @ D, S, seed=i)
         assert one.witness["premise_holds"] and one.holds
         assert two.witness["premise_holds"] and two.holds
+
+
+@pytest.mark.parametrize("c", [1e80, 1e100, 1e120])
+def test_majorization_ascent_is_scale_free(c):
+    # the ascent's norms of T T* - S S* reach c**4, beyond the float range
+    T = np.array([[1, 1], [0, 1]], dtype=complex)
+    S = np.array([[2, 0], [1, 2]], dtype=complex)
+    unit = majorization_equiv(T, S)[1].witness["max_sq_diff"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, two = majorization_equiv(c * T, c * S)
+    assert two.witness["max_sq_diff"] / c**2 == pytest.approx(unit, rel=1e-12)
+    assert unit == pytest.approx(-(3 - math.sqrt(2)), rel=1e-12)
+
+
+def test_majorization_beyond_the_float_range_raises():
+    T = 1e160 * np.array([[1, 1], [0, 1]], dtype=complex)
+    S = 1e160 * np.array([[2, 0], [1, 2]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="S S\\* - T T\\*"):
+            majorization_equiv(T, S)
 
 
 def test_majorization_violating_pair_is_vacuous_both_ways():
@@ -254,6 +281,17 @@ def test_compression_unsupported_range_raises():
     with pytest.raises(HypothesisUnmet) as exc:
         compression_bound_report(np.eye(2), np.eye(2), C)
     assert exc.value.condition == "range-support"
+
+
+def test_compression_makes_four_svds(monkeypatch):
+    # polar(C), ||U U* B - B||, ||B|| and the bound's ||A + U* B U||
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    rng = trial_rng(12, 0)
+    A, B, C = gram_blocks(rng, 3)
+    assert compression_bound_report(A, B, C).holds
+    assert len(calls) == 4
 
 
 def test_compression_non_psd_block_raises():
@@ -372,6 +410,31 @@ def test_block_pair_zero_second():
     rng = np.random.default_rng(19)
     A = random_complex(rng, 2)
     assert block_pair_report(A, np.zeros((2, 2))).holds
+
+
+def test_block_pair_radius_is_shared_by_the_paired_blocks():
+    # D P D with D = diag(I, -I) is the paired block, and w is unitarily invariant
+    for i in range(40):
+        rng = trial_rng(21, i)
+        n = int(rng.integers(1, 5))
+        A, B = random_complex(rng, n), random_complex(rng, n)
+        absA, absAs = matrix_abs(A), matrix_abs(A.conj().T)
+        absB, absBs = matrix_abs(B), matrix_abs(B.conj().T)
+        d = A - B
+        P1 = np.block([[absBs - absAs, d], [-d.conj().T, absA - absB]])
+        P2 = np.block([[absBs - absAs, -d], [d.conj().T, absA - absB]])
+        w1, w2 = numerical_radius(P1).omega, numerical_radius(P2).omega
+        assert w2 == pytest.approx(w1, rel=1e-12, abs=1e-12)
+        assert block_pair_report(A, B).lhs == w1
+
+
+def test_block_pair_makes_one_radius_call(monkeypatch):
+    calls = []
+    radius = inequalities.numerical_radius
+    monkeypatch.setattr(inequalities, "numerical_radius", lambda *a: calls.append(1) or radius(*a))
+    rng = trial_rng(22, 0)
+    block_pair_report(random_complex(rng, 3), random_complex(rng, 3))
+    assert len(calls) == 1
 
 
 def test_block_pair_fuzz():
@@ -508,6 +571,19 @@ def test_aluthge_golden_values():
     b1, b2, _ = aluthge_bound_reports(np.array([[6, 7], [10, 7]], dtype=complex))
     assert b1.rhs == pytest.approx(15.0159, abs=5e-4)
     assert b2.rhs == pytest.approx(15.0164, abs=5e-4)
+
+
+@pytest.mark.parametrize("c", [1e155, 1e160, 1e200])
+def test_aluthge_bounds_are_scale_free(c):
+    # |T|^2 and |t|^2 reach c**2, beyond the float range
+    T = np.array([[1, 1], [0, 1]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = aluthge_bound_reports(c * T)
+    for r, unit in zip(big, aluthge_bound_reports(T)):
+        assert r.name == unit.name
+        assert r.lhs == pytest.approx(c * unit.lhs, rel=1e-12)
+        assert r.rhs == pytest.approx(c * unit.rhs, rel=1e-12)
 
 
 def test_aluthge_bounds_fuzz():
