@@ -63,7 +63,6 @@ from .matio import (
 from .radius import (
     SweepConfig,
     SweepResult,
-    f_theta,
     numerical_radius,
     off_diag_radius,
     rayleigh_radius,

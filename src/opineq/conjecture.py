@@ -24,7 +24,9 @@ from .radius import SweepConfig, numerical_radius
 __all__ = ["ConjectureResult", "half_diff_slack", "conjecture_search"]
 
 VIOLATION_RTOL = 1e-7
-SCAN_STACK_BYTES = 1 << 17  # per scan chunk: bytes of kernel grid stack, grid * n * n * 16 per matrix
+# Per scan chunk: bytes of a full-circle kernel grid stack, grid * n * n * 16 per
+# matrix; an even grid folds onto [0, pi), so its stack fills half the budget.
+SCAN_STACK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ def _scan(spec: EnsembleSpec, cfg: SweepConfig) -> list[tuple[float, np.ndarray]
     for i in range(0, len(draws), size):
         T = np.stack(draws[i : i + size])
         A, B = re_im_parts(np.concatenate([T, _half_diff_matrices(T)["plus-re"]]))
-        res = radius._max_on_circle(A, B, np.zeros_like(A), cfg)
+        res = radius._max_on_circle(A, B, None, cfg)
         scored += [(t.omega - s.omega, M) for t, s, M in zip(res, res[len(T) :], draws[i : i + size])]
     return scored
 

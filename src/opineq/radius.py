@@ -31,7 +31,6 @@ _CERT_RTOL, _UNIMODULAR_TOL, _RESTARTS, _MOBIUS = 1e-9, 1e-6, 4, math.sqrt(2.0) 
 __all__ = [
     "SweepConfig",
     "SweepResult",
-    "f_theta",
     "numerical_radius",
     "rayleigh_radius",
     "sup_theta_norm",
@@ -154,7 +153,7 @@ def _angles_above(A, B, C, value, eta):
     return np.bincount(own, minlength=k) == 0, own, t
 
 
-def _max_on_circle(A: np.ndarray, B: np.ndarray, C: np.ndarray, cfg: SweepConfig) -> list[SweepResult]:
+def _max_on_circle(A: np.ndarray, B: np.ndarray, C: np.ndarray | None, cfg: SweepConfig) -> list[SweepResult]:
     """Maximize f(theta) = lambda_max(C + cos(theta) A - sin(theta) B) for each
     matrix of the (k, n, n) stacks A, B, C; one SweepResult each.
 
@@ -164,18 +163,25 @@ def _max_on_circle(A: np.ndarray, B: np.ndarray, C: np.ndarray, cfg: SweepConfig
     to the level-set test: it certifies each largest value seen or gives
     crossing angles, each restarting Newton within its neighbours (Mengi &
     Overton, IMA J. Numer. Anal. 2005) for at most _RESTARTS rounds.
+    C None means C = 0, where H(theta + pi) = -H(theta): an even grid then
+    solves only its angles in [0, pi) and reads f(theta + pi) as
+    -lambda_min(H(theta)).
     """
     # Exact power-of-two scales keep f'' finite; parts divide apart (complex / subnormal overflows).
-    M = np.concatenate([A, B, C], axis=1, dtype=complex)
+    M = np.concatenate([A, B, np.zeros_like(A) if C is None else C], axis=1, dtype=complex)
     scale = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(1, 2)))[1] - 1)
     M = (M.view(float) / scale[:, None, None]).view(complex).reshape(len(M), 3, -1, M.shape[-1])
 
     h = TWO_PI / cfg.grid_points
     thetas = np.arange(cfg.grid_points) * h
-    c, s = np.cos(thetas)[:, None, None], np.sin(thetas)[:, None, None]
+    fold = C is None and cfg.grid_points % 2 == 0
+    half = thetas[: cfg.grid_points // 2] if fold else thetas
+    c, s = np.cos(half)[:, None, None], np.sin(half)[:, None, None]
     grid = c * M[:, 0, None] - s * M[:, 1, None]
-    grid += M[:, 2, None]  # in place: a third stack of n x n matrices would raise peak memory
-    vals = np.linalg.eigvalsh(grid)[..., -1]
+    if C is not None:
+        grid += M[:, 2, None]  # in place: a third stack of n x n matrices would raise peak memory
+    lam = np.linalg.eigvalsh(grid)
+    vals = np.concatenate([lam[..., -1], -lam[..., 0]], axis=1) if fold else lam[..., -1]
     own = np.arange(len(M))
     pick = cfg.grid_points - 1 - np.argmax(vals[:, ::-1], axis=1)  # largest; ties: the later angle
     th = thetas[pick]
@@ -201,13 +207,6 @@ def _max_on_circle(A: np.ndarray, B: np.ndarray, C: np.ndarray, cfg: SweepConfig
     return [SweepResult(w * s, t % TWO_PI, x, c, e * s if c else math.inf) for t, w, c, e, s, x in rows]
 
 
-def f_theta(T, theta: float) -> float:
-    """Largest eigenvalue of the Hermitian part of exp(1j*theta) T."""
-    A, B = re_im_parts(T)
-    H = math.cos(theta) * A - math.sin(theta) * B
-    return float(np.linalg.eigvalsh(H)[-1])
-
-
 def _fix_phase(x: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its largest component is real positive."""
     k = int(np.argmax(np.abs(x)))
@@ -221,7 +220,7 @@ def numerical_radius(T, cfg: SweepConfig | None = None) -> SweepResult:
     """Numerical radius by grid sweep, Newton refinement and the level-set certificate."""
     cfg = cfg or DEFAULT_SWEEP
     A, B = re_im_parts(T)
-    r = _max_on_circle(A[None], B[None], np.zeros((1, *A.shape), dtype=complex), cfg)[0]
+    r = _max_on_circle(A[None], B[None], None, cfg)[0]
     return SweepResult(r.omega, r.theta_star, _fix_phase(r.witness), r.certified, r.margin)
 
 

@@ -14,7 +14,6 @@ from opineq import (
     NotSquare,
     OpineqError,
     SweepConfig,
-    f_theta,
     numerical_radius,
     off_diag_radius,
     rayleigh_radius,
@@ -34,26 +33,6 @@ def random_complex(rng, n, m=None):
 def random_unitary(rng, n):
     q, r = np.linalg.qr(random_complex(rng, n))
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def test_f_theta_psd_at_zero():
-    H = np.diag([1.0, 3.0])
-    assert f_theta(H, 0.0) == pytest.approx(3.0)
-
-
-def test_f_theta_constant_for_nilpotent():
-    T = np.array([[0, 1], [0, 0]], dtype=complex)
-    for theta in (0.0, 0.4, 1.7, 3.9, 6.0):
-        assert f_theta(T, theta) == pytest.approx(0.5, abs=1e-14)
-
-
-def test_f_theta_rotation_identity():
-    rng = np.random.default_rng(1)
-    T = random_complex(rng, 4)
-    for theta in rng.uniform(0, 2 * math.pi, size=10):
-        assert f_theta(T, theta) == pytest.approx(
-            f_theta(np.exp(1j * theta) * T, 0.0), abs=1e-12
-        )
 
 
 def test_radius_golden_values():
@@ -110,13 +89,14 @@ def test_radius_dominates_hermitian_parts():
         assert w >= max(spectral_norm(A), spectral_norm(B)) - 1e-9 * scale
 
 
-def test_radius_nilpotent_shift_closed_form():
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), grid=st.sampled_from([8, 9, 16, 720]))
+def test_radius_nilpotent_shift_closed_form(n, grid):
     # f(theta) is constant for the shift, so every angle is a maximizer
     # and the level-set pencil sits next to a disc-shaped range.
-    for n in range(2, 9):
-        res = numerical_radius(np.eye(n, k=1))
-        assert abs(res.omega - math.cos(math.pi / (n + 1))) <= 1e-13
-        assert res.certified and 0.0 < res.margin <= 1e-8
+    res = numerical_radius(np.eye(n, k=1), SweepConfig(grid_points=grid))
+    assert abs(res.omega - math.cos(math.pi / (n + 1))) <= 1e-13
+    assert res.certified and 0.0 < res.margin <= 1e-8
 
 
 def test_radius_top_eigenvalue_repeated_for_every_angle():
@@ -147,9 +127,10 @@ def test_radius_attained_and_above_dense_grid():
         n = int(rng.integers(1, 9))
         T = random_complex(rng, n)
         res = numerical_radius(T)
-        assert f_theta(T, res.theta_star) == pytest.approx(res.omega, rel=1e-13)
         A = (T + T.conj().T) / 2
         B = (T - T.conj().T) / 2j
+        top = np.linalg.eigvalsh(math.cos(res.theta_star) * A - math.sin(res.theta_star) * B)[-1]
+        assert top == pytest.approx(res.omega, rel=1e-13)
         H = np.cos(thetas)[:, None, None] * A - np.sin(thetas)[:, None, None] * B
         dense = np.linalg.eigvalsh(H)[:, -1].max()
         assert res.omega >= dense - 1e-13 * (1 + spectral_norm(T))
@@ -252,8 +233,6 @@ def test_non_square_raises_not_square():
     with pytest.raises(NotSquare):
         numerical_radius(T)
     with pytest.raises(NotSquare):
-        f_theta(T, 0.0)
-    with pytest.raises(NotSquare):
         rayleigh_radius(T)
 
 
@@ -283,10 +262,10 @@ def test_singular_repeated_and_extreme_scale_inputs_are_certified():
 
 
 def hermitian_stacks(Ts):
-    """The (k, n, n) stacks A, B and C = 0 that numerical_radius hands the kernel."""
+    """The (k, n, n) stacks A, B and C = None (C = 0) that numerical_radius hands the kernel."""
     A = np.stack([(T + T.conj().T) / 2 for T in Ts])
     B = np.stack([(T - T.conj().T) / 2j for T in Ts])
-    return A, B, np.zeros_like(A)
+    return A, B, None
 
 
 def assert_stack_matches_single_calls(A, B, C, cfg):
@@ -294,7 +273,7 @@ def assert_stack_matches_single_calls(A, B, C, cfg):
     stacked = radius._max_on_circle(A, B, C, cfg)
     assert len(stacked) == len(A)
     for i, s in enumerate(stacked):
-        (r,) = radius._max_on_circle(A[i : i + 1], B[i : i + 1], C[i : i + 1], cfg)
+        (r,) = radius._max_on_circle(A[i : i + 1], B[i : i + 1], C if C is None else C[i : i + 1], cfg)
         assert (s.omega, s.theta_star, s.certified, s.margin) == (r.omega, r.theta_star, r.certified, r.margin)
         np.testing.assert_array_equal(s.witness, r.witness)
     return stacked
@@ -330,23 +309,53 @@ def test_each_matrix_of_a_stack_refines_one_bracket_at_its_grid_maximum(monkeypa
     # The first refinement gets one bracket per matrix, around its largest
     # grid value; on a tie the later angle wins, as for the last matrix,
     # whose f is the same at every angle.
+    # C None folds the grid: diag(1, -1) ties at 0 and pi, across its two
+    # halves, and takes pi; the zero matrix takes the last angle.
     refine, calls = radius._refine, []
     monkeypatch.setattr(radius, "_refine", lambda M, own, t, lo, *a: calls.append((own, lo)) or refine(M, own, t, lo, *a))
     rng = np.random.default_rng(22)
-    A, B, C = hermitian_stacks([random_complex(rng, 5) for _ in range(6)])
-    flat = np.zeros((1, 5, 5), dtype=complex)
-    A, B = np.concatenate([A, flat]), np.concatenate([B, flat])
-    C = np.concatenate([C, np.diag([2.0, 1.0, 1.0, 0.5, 0.0])[None]])
-    radius._max_on_circle(A, B, C, SweepConfig(grid_points=64))
-    own, lo = calls[0]
-    assert own.tolist() == list(range(7))
+    Ts = [random_complex(rng, 5) for _ in range(6)]
+    A, B, _ = hermitian_stacks([*Ts, np.zeros((5, 5))])
+    C = np.zeros_like(A)
+    C[6] = np.diag([2.0, 1.0, 1.0, 0.5, 0.0])
+    folded = (*hermitian_stacks([*Ts, np.diag([1.0, -1.0, 0.0, 0.0, 0.0]), np.zeros((5, 5))]), {6: 32, 7: 63})
     h = 2 * math.pi / 64
     thetas = np.arange(64) * h
-    for i in range(7):
-        vals = np.linalg.eigvalsh(C[i] + np.cos(thetas)[:, None, None] * A[i] - np.sin(thetas)[:, None, None] * B[i])[:, -1]
-        top = np.flatnonzero(vals == vals.max())[-1]
-        assert round((lo[i] + h) / h) == top
-    assert round((lo[6] + h) / h) == 63
+    for A, B, C, ties in ((A, B, C, {6: 63}), folded):
+        calls.clear()
+        radius._max_on_circle(A, B, C, SweepConfig(grid_points=64))
+        own, lo = calls[0]
+        assert own.tolist() == list(range(len(A)))
+        picks = [round((x + h) / h) for x in lo]
+        for i in range(len(A)):
+            H = np.cos(thetas)[:, None, None] * A[i] - np.sin(thetas)[:, None, None] * B[i]
+            vals = np.linalg.eigvalsh(H if C is None else C[i] + H)[:, -1]
+            assert picks[i] == np.flatnonzero(vals == vals.max())[-1]
+        assert {i: picks[i] for i in ties} == ties
+
+
+def test_radius_grid_solves_half_the_circle_and_sup_theta_norm_all_of_it(monkeypatch):
+    # Re(exp(1j*(theta + pi)) T) = -Re(exp(1j*theta) T): a radius call on an
+    # even grid solves the angles in [0, pi) only.  An odd grid, and
+    # sup_theta_norm, whose dilation has C != 0, solve every angle.
+    eigvalsh, grids = np.linalg.eigvalsh, []
+
+    def counting(M):
+        if M.ndim == 4:  # (matrices, angles, n, n): the grid batch
+            grids.append(M.shape[:2])
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rng = np.random.default_rng(23)
+    T = random_complex(rng, 3)
+    for grid, solved in ((16, 8), (720, 360), (9, 9)):
+        grids.clear()
+        numerical_radius(T, SweepConfig(grid_points=grid))
+        assert grids == [(1, solved)]
+    for grid in (16, 9):
+        grids.clear()
+        sup_theta_norm(T, random_complex(rng, 3), SweepConfig(grid_points=grid))
+        assert grids == [(1, grid)]
 
 
 def stack_member(kind, n, seed, scale):
@@ -370,7 +379,7 @@ def stack_member(kind, n, seed, scale):
         st.tuples(st.sampled_from(["random", "shift", "rank-one", "S+S"]),
                   st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e150, 1e-150])),
         min_size=1, max_size=6),
-    grid=st.sampled_from([8, 16, 720]),
+    grid=st.sampled_from([8, 9, 16, 720]),
 )
 def test_stacked_kernel_equals_single_calls_bitwise(n, members, grid):
     Ts = [stack_member(kind, n, seed, scale) for kind, seed, scale in members]
@@ -386,7 +395,7 @@ def test_pencil_failure_leaves_only_its_own_matrix_uncertified(monkeypatch, swee
     cfg = SweepConfig(grid_points=16)
     solve, leads = np.linalg.solve, []
     monkeypatch.setattr(np.linalg, "solve", lambda L, rhs: leads.append(L) or solve(L, rhs))
-    singles = [radius._max_on_circle(A[i : i + 1], B[i : i + 1], C[i : i + 1], cfg)[0] for i in range(5)]
+    singles = [radius._max_on_circle(A[i : i + 1], B[i : i + 1], C, cfg)[0] for i in range(5)]
     poisoned = leads[2][0]
 
     def failing(L, rhs):
@@ -449,7 +458,8 @@ def test_level_test_drops_near_circle_roots_below_the_level(monkeypatch):
     for _ in range(20):
         T = random_complex(rng, 4)
         omega = numerical_radius(T).omega
-        A, B, C = hermitian_stacks([T])
+        A, B, _ = hermitian_stacks([T])
+        C = np.zeros_like(A)
         batches.clear()
         clear, own, t = radius._angles_above(A, B, C, np.array([omega]), np.array([1e-14 * omega]))
         assert t.size == 0 and own.size == 0 and clear.tolist() == [True]
@@ -480,9 +490,10 @@ def test_sup_theta_norm_and_off_diag_radius_are_certified(sweeps):
     assert all(r.certified and r.margin <= 1e-8 * r.omega for r in sweeps)
 
 
-# Exact oracles for the one-bracket kernel: each property runs at grids 8,
-# 16 and 720, and the sweeps fixture fails any uncertified result.
-oracle_draws = dict(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), grid=st.sampled_from([8, 16, 720]))
+# Exact oracles for the one-bracket kernel: each property runs at the folded
+# grids 8, 16 and 720 and the odd grid 9, and the sweeps fixture fails any
+# uncertified result.
+oracle_draws = dict(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), grid=st.sampled_from([8, 9, 16, 720]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -526,8 +537,44 @@ def test_level_test_is_never_clear_below_the_radius(n, seed, grid, kind):
     # crossing"; so no constant f (the shift), which never crosses a lower level.
     T = stack_member(kind, n, seed, 1.0)
     res = numerical_radius(T, SweepConfig(grid_points=grid))
-    A, B, C = hermitian_stacks([T])
+    A, B, _ = hermitian_stacks([T])
+    C = np.zeros_like(A)
     eta = radius._CERT_RTOL * (1.0 + res.omega)
     level = res.omega - 1e-6 * (1.0 + res.omega)
     clear, _, _ = radius._angles_above(A, B, C, np.array([level - eta]), np.array([eta]))
     assert clear.tolist() == [False]
+
+
+def ellipse_radius(T):
+    """max |z| over the elliptical range of a 2x2 T: W(T) is the ellipse with
+    foci lam1, lam2 and minor axis sqrt(tr T*T - |lam1|^2 - |lam2|^2)."""
+    tr, d = np.trace(T), np.sqrt(np.trace(T) ** 2 - 4 * np.linalg.det(T) + 0j)  # d = lam1 - lam2
+    minor2 = max(float(np.sum(np.abs(T) ** 2)) - (abs(tr) ** 2 + abs(d) ** 2) / 2, 0.0)
+    a, b = math.sqrt(minor2 + abs(d) ** 2) / 2, math.sqrt(minor2) / 2
+    u = d / abs(d) if abs(d) else 1.0
+    # boundary z(t) = tr/2 + u (a cos t + 1j b sin t) = tr/2 + u m / w + u p w, w = exp(1j t);
+    # |z|^2 = sum_k F_k w^k (k = -2..2) is stationary where sum_k k F_k w^(k+2) = 0
+    p, m = (a + b) / 2, (a - b) / 2
+    F = np.convolve([u * m, tr / 2, u * p], np.conj([u * p, tr / 2, u * m]))
+    t = np.append(np.angle(np.roots((np.arange(-2, 3) * F)[::-1])), 0.0)
+    return np.abs(tr / 2 + u * (a * np.cos(t) + 1j * b * np.sin(t))).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), grid=st.sampled_from([8, 9, 16, 720]),
+       kind=st.sampled_from(["random", "real", "nilpotent", "normal", "repeated"]))
+def test_two_by_two_radius_is_the_elliptical_range_maximum(seed, grid, kind):
+    rng = np.random.default_rng(seed)
+    T = random_complex(rng, 2)
+    if kind == "real":
+        T = T.real
+    elif kind == "nilpotent":
+        T = np.triu(T, 1)
+    elif kind == "normal":
+        U = random_unitary(rng, 2)
+        T = U @ np.diag(np.diag(T)) @ U.conj().T
+    elif kind == "repeated":
+        T = np.triu(T) + (T[0, 0] - T[1, 1]) * np.diag([0.0, 1.0])
+    res = numerical_radius(T, SweepConfig(grid_points=grid))
+    assert res.certified
+    assert res.omega == pytest.approx(ellipse_radius(T), rel=1e-12)
