@@ -17,7 +17,7 @@ from .errors import OpineqError
 from .fuzz import MATRIX_SUITE_NAMES, SUITE_NAMES, SUITES, run_suites
 from .inequalities import block_positivity
 from .matio import complex_to_str, dumps_matrix, load_matrix
-from .radius import SweepConfig, numerical_radius
+from .radius import SweepConfig, numerical_radius, radius_memo
 from .reporting import render_table, reports_json, reports_table
 from .tables import HALF_DIFF_ROWS, TABLE_TOL, reproduce_tables
 
@@ -63,9 +63,10 @@ def cmd_bounds(args) -> int:
                 " (block-input suites run under `fuzz`)"
             )
     reports = []
-    for s in args.suite:
-        # every suite that samples vectors draws them from stream (seed, 0)
-        reports += SUITES[s].on_matrix(T, trial_rng(args.seed, 0), cfg)
+    with radius_memo():
+        for s in args.suite:
+            # every suite that samples vectors draws them from stream (seed, 0)
+            reports += SUITES[s].on_matrix(T, trial_rng(args.seed, 0), cfg)
     if args.format == "json":
         _emit(reports_json(reports) + "\n", args.out)
     else:

@@ -29,7 +29,7 @@ from .inequalities import (
     radius_upper_reports,
 )
 from .linalg import spectral_norm, split2
-from .radius import SweepConfig
+from .radius import SweepConfig, radius_memo
 
 MIXED_SCHWARZ_ALPHAS = tuple(0.25 * k for k in range(9))
 
@@ -200,46 +200,28 @@ MATRIX_SUITE_NAMES = tuple(name for name, suite in SUITES.items() if hasattr(sui
 
 
 def run_suite(name: str, spec: EnsembleSpec, cfg: SweepConfig | None = None) -> SuiteSummary:
-    try:
-        suite = SUITES[name]
-    except KeyError:
-        raise UnknownSuite(f"unknown suite {name!r}; choose from {SUITE_NAMES}") from None
-
-    reports_seen = 0
-    violations = 0
-    unmet = 0
-    worst_slack = math.inf
-    worst_name = None
-    worst_inputs = None
-    for i in range(spec.count):
-        rng = trial_rng(spec.seed, i)
-        try:
-            reports, inputs = suite(rng, spec, i, cfg)
-        except HypothesisUnmet:
-            unmet += 1
-            continue
-        for rep in reports:
-            reports_seen += 1
-            if not rep.holds:
-                violations += 1
-            if rep.slack < worst_slack:
-                worst_slack = rep.slack
-                worst_name = rep.name
-                worst_inputs = inputs
-    return SuiteSummary(
-        suite=name,
-        trials=spec.count,
-        reports=reports_seen,
-        violations=violations,
-        hypothesis_unmet=unmet,
-        worst_slack=worst_slack,
-        worst_name=worst_name,
-        worst_inputs=worst_inputs,
-    )
+    return run_suites([name], spec, cfg)[0]
 
 
 def run_suites(names, spec: EnsembleSpec, cfg: SweepConfig | None = None) -> list[SuiteSummary]:
+    """One summary per named suite, index-major: the suites of one ensemble
+    index run in one ``radius_memo`` block, so they share each radius."""
+    names = list(names)
     for name in names:
         if name not in SUITES:
             raise UnknownSuite(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return [run_suite(name, spec, cfg) for name in names]
+    summaries = [SuiteSummary(name, spec.count, 0, 0, 0, math.inf, None, None) for name in names]
+    for i in range(spec.count):
+        with radius_memo():
+            for s in summaries:
+                try:
+                    reports, inputs = SUITES[s.suite](trial_rng(spec.seed, i), spec, i, cfg)
+                except HypothesisUnmet:
+                    s.hypothesis_unmet += 1
+                    continue
+                for rep in reports:
+                    s.reports += 1
+                    s.violations += not rep.holds
+                    if rep.slack < s.worst_slack:
+                        s.worst_slack, s.worst_name, s.worst_inputs = rep.slack, rep.name, inputs
+    return summaries

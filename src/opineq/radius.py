@@ -11,6 +11,9 @@ of lambda_max equals the sup of the norm (send theta to theta + pi).
 from __future__ import annotations
 
 import math
+import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +53,13 @@ class SweepConfig:
     grid_points: int = 720
 
     def __post_init__(self):
-        if self.grid_points < 8:
+        try:
+            grid = operator.index(self.grid_points)
+        except TypeError:
+            raise InvalidSpec(f"grid_points must be an integer, got {self.grid_points!r}") from None
+        if grid < 8:
             raise InvalidSpec("grid_points must be >= 8")
+        object.__setattr__(self, "grid_points", int(grid))  # np.int64(16) and 16: one memo key
 
 
 DEFAULT_SWEEP = SweepConfig()
@@ -216,12 +224,40 @@ def _fix_phase(x: np.ndarray) -> np.ndarray:
     return x * (abs(z) / z)
 
 
+# numerical_radius results by (shape, complex128 bytes, cfg) while a radius_memo() block is open.
+_MEMO: ContextVar[dict | None] = ContextVar("opineq_radius_memo", default=None)
+
+
+@contextmanager
+def radius_memo():
+    """Within the block, numerical_radius computes each (matrix, cfg) once.
+
+    A repeated call returns the stored result, whose witness is read-only.
+    Outside any block nothing is stored.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def numerical_radius(T, cfg: SweepConfig | None = None) -> SweepResult:
     """Numerical radius by grid sweep, Newton refinement and the level-set certificate."""
     cfg = cfg or DEFAULT_SWEEP
+    memo = _MEMO.get()
+    if memo is not None:
+        T = np.asarray(T, dtype=np.complex128)  # re_im_parts checks it, once, on a miss
+        key = (T.shape, T.tobytes(), cfg)
+        if key in memo:
+            return memo[key]
     A, B = re_im_parts(T)
     r = _max_on_circle(A[None], B[None], None, cfg)[0]
-    return SweepResult(r.omega, r.theta_star, _fix_phase(r.witness), r.certified, r.margin)
+    result = SweepResult(r.omega, r.theta_star, _fix_phase(r.witness), r.certified, r.margin)
+    if memo is not None:
+        result.witness.flags.writeable = False
+        memo[key] = result
+    return result
 
 
 def rayleigh_radius(T, trials: int = 16, seed: int = 0) -> tuple[float, np.ndarray]:

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from opineq import cli, conjecture
+from opineq import cli, conjecture, inequalities, radius
 from opineq.cli import main
-from opineq.ensembles import trial_rng
+from opineq.ensembles import sample_matrix, trial_rng
 from opineq.fuzz import MATRIX_SUITE_NAMES, SUITES
 from opineq.matio import load_matrix, save_matrix
 
@@ -72,6 +72,23 @@ def test_bounds_runs_the_registry_rules(matrix_file, capsys):
     for name in MATRIX_SUITE_NAMES:
         expected += SUITES[name].on_matrix(T, trial_rng(5, 0), None)
     assert got == [r.to_json_dict() for r in expected]
+
+
+def test_bounds_computes_each_radius_once(tmp_path, capsys, monkeypatch, kernel_calls):
+    # the matrix and suites of the benchmark's recorder self-test
+    path = tmp_path / "t.json"
+    save_matrix(sample_matrix(trial_rng(2024, 0), "gaussian-complex", 6), path)
+    api = []
+    radius_call = inequalities.numerical_radius
+
+    def counting(T, cfg=None):
+        api.append(1)
+        return radius_call(T, cfg)
+
+    monkeypatch.setattr(inequalities, "numerical_radius", counting)
+    assert main(["bounds", str(path), "--suite", "half-diff,implicit,beta-chain,aluthge"]) in (0, 1)
+    assert (len(api), len(kernel_calls)) == (15, 9)
+    assert radius._MEMO.get() is None
 
 
 def test_tables_command(tmp_path, capsys):

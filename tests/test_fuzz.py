@@ -1,6 +1,12 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from opineq import EnsembleSpec, SUITE_NAMES, UnknownSuite, run_suite, run_suites
+from opineq import EnsembleSpec, SUITE_NAMES, UnknownSuite, numerical_radius, run_suite, run_suites
+from opineq import fuzz, radius
+
+FUZZ_BOUNDS_SUITES = ("half-diff", "implicit", "beta-chain", "aluthge", "block-pair")
 
 
 def test_unknown_suite_raises():
@@ -53,3 +59,46 @@ def test_worst_slack_tracks_inputs():
     summary = run_suite("half-diff", spec)
     assert summary.worst_inputs is not None and "T" in summary.worst_inputs
     assert summary.worst_name.startswith("half-diff")
+
+
+@pytest.mark.parametrize("kind", ["integer-complex", "gram-psd-block"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_run_suites_equals_one_run_suite_per_name(dim, kind):
+    # run_suite runs one suite per index, so nothing is shared across
+    # suites: this compares shared radii with unshared ones
+    spec = EnsembleSpec(kind=kind, dim=dim, count=6, seed=40 + dim)
+    together = run_suites(SUITE_NAMES, spec)
+    alone = [run_suite(name, spec) for name in SUITE_NAMES]
+    for a, b in zip(together, alone, strict=True):
+        for field in dataclasses.fields(fuzz.SuiteSummary):
+            if field.name != "worst_inputs":
+                assert getattr(a, field.name) == getattr(b, field.name), (a.suite, field.name)
+        assert a.worst_inputs.keys() == b.worst_inputs.keys()
+        for key, value in a.worst_inputs.items():
+            assert np.array_equal(value, b.worst_inputs[key])
+
+
+def test_suites_of_one_draw_share_each_radius(kernel_calls):
+    spec = EnsembleSpec(kind="gaussian-complex", dim=6, count=2, seed=9001)
+    for name in FUZZ_BOUNDS_SUITES:
+        run_suite(name, spec)
+    assert len(kernel_calls) == 32
+    kernel_calls.clear()
+    run_suites(FUZZ_BOUNDS_SUITES, spec)
+    assert len(kernel_calls) == 20
+
+
+def test_radius_memo_is_closed_after_a_suite_raises(monkeypatch, kernel_calls):
+    def failing(rng, spec, index, cfg):
+        numerical_radius(np.eye(2))
+        raise RuntimeError("suite failed")
+
+    monkeypatch.setitem(fuzz.SUITES, "half-diff", failing)
+    spec = EnsembleSpec(kind="integer-complex", dim=2, count=3, seed=1)
+    with pytest.raises(RuntimeError, match="suite failed"):
+        run_suites(["implicit", "half-diff"], spec)
+    assert radius._MEMO.get() is None
+    kernel_calls.clear()
+    numerical_radius(np.eye(2))
+    numerical_radius(np.eye(2))
+    assert len(kernel_calls) == 2

@@ -222,10 +222,49 @@ def test_off_diag_shape_check():
 
 
 def test_sweep_config_validation():
-    with pytest.raises(InvalidSpec):
-        SweepConfig(grid_points=4)
+    for grid in (4, 8.5, 16.0, "16", None):
+        with pytest.raises(InvalidSpec):
+            SweepConfig(grid_points=grid)
     # the grid is the only knob: one bracket per matrix, a fixed angle stop
     assert [f.name for f in dataclasses.fields(SweepConfig)] == ["grid_points"]
+    # a plain int, so that np.int64(16) and 16 give one radius memo key
+    cfg = SweepConfig(grid_points=np.int64(16))
+    assert type(cfg.grid_points) is int
+    assert cfg == SweepConfig(grid_points=16) and hash(cfg) == hash(SweepConfig(grid_points=16))
+
+
+def test_radius_memo_computes_each_matrix_and_grid_once(kernel_calls):
+    T = random_complex(np.random.default_rng(12), 4)
+    cfg = SweepConfig(grid_points=16)
+    with radius.radius_memo():
+        first = numerical_radius(T, cfg)
+        again = numerical_radius(T.tolist(), SweepConfig(grid_points=np.int64(16)))  # same values and grid
+        assert len(kernel_calls) == 1
+        numerical_radius(T, SweepConfig(grid_points=24))
+        numerical_radius(T.T, cfg)
+        assert len(kernel_calls) == 3
+        with pytest.raises(NotSquare):  # the same bytes in another shape
+            numerical_radius(T.reshape(2, 8), cfg)
+    fresh = numerical_radius(T, cfg)
+    for field in ("omega", "theta_star", "certified", "margin"):
+        assert getattr(again, field) == getattr(first, field) == getattr(fresh, field)
+    assert np.array_equal(again.witness, fresh.witness)
+    # a hit cannot see a caller's mutation; unscoped results stay writable
+    assert not again.witness.flags.writeable and not first.witness.flags.writeable
+    with pytest.raises(ValueError):
+        again.witness[0] = 0.0
+    assert fresh.witness.flags.writeable
+
+
+def test_radius_calls_outside_a_memo_block_share_nothing(kernel_calls):
+    T = random_complex(np.random.default_rng(13), 3)
+    cfg = SweepConfig(grid_points=16)
+    assert numerical_radius(T, cfg).omega == numerical_radius(T, cfg).omega
+    assert len(kernel_calls) == 2
+    with radius.radius_memo():
+        numerical_radius(T, cfg)
+    numerical_radius(T, cfg)
+    assert len(kernel_calls) == 4
 
 
 def test_non_square_raises_not_square():
