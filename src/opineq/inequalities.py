@@ -240,7 +240,7 @@ def block_positivity(A, B, C, samples: int | None = None, seed: int = 0) -> Posi
     )
 
 
-def majorization_equiv(T, S, samples: int = 40, seed: int = 0) -> tuple[BoundReport, BoundReport]:
+def majorization_equiv(T, S, seed: int = 0) -> tuple[BoundReport, BoundReport]:
     """Both directions of: T T* <= S S*  iff  ||T* x|| <= ||S* x|| for all x.
 
     Direction one goes from the operator order (eigenvalue route) to
@@ -265,7 +265,8 @@ def majorization_equiv(T, S, samples: int = 40, seed: int = 0) -> tuple[BoundRep
     tol_vec = 1e-8 * (1.0 + norm_t + norm_s)
 
     rng = trial_rng(seed, 1)
-    xs = rng.normal(size=(samples, k)) + 1j * rng.normal(size=(samples, k))
+    shape = (40, k)  # 40 sampled vectors
+    xs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
 
     norm_diffs = np.linalg.norm(xs.conj() @ T, axis=1) - np.linalg.norm(xs.conj() @ S, axis=1)

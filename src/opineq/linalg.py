@@ -94,8 +94,8 @@ def spectral_norm(T) -> float:
         raise NoConvergence(str(e)) from e
 
 
-def is_hermitian(H: np.ndarray, rtol: float = 1e-12) -> bool:
-    return fro_norm(H - H.conj().T) <= rtol * (1.0 + fro_norm(H))
+def is_hermitian(H: np.ndarray) -> bool:
+    return fro_norm(H - H.conj().T) <= 1e-12 * (1.0 + fro_norm(H))
 
 
 @dataclass(frozen=True)

@@ -55,12 +55,10 @@ def matrix_from_dict(d) -> np.ndarray:
         raise MatrixFormatError("rows/cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise MatrixFormatError(f"expected {rows} entry rows")
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(entries):
+    for i, row in enumerate(entries):  # every row before any allocation: cols may be huge
         if not isinstance(row, list) or len(row) != cols:
             raise MatrixFormatError(f"row {i} must hold {cols} entries")
-        for j, e in enumerate(row):
-            out[i, j] = _parse_entry(e)
+    out = np.array([[_parse_entry(e) for e in row] for row in entries], dtype=np.complex128)
     if not np.isfinite(out).all():
         raise MatrixFormatError("matrix entries must be finite")
     return out

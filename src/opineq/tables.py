@@ -39,8 +39,8 @@ class TableRow:
     def max_error(self) -> float:
         return max(abs(self.computed[k] - self.reference[k]) for k in self.reference)
 
-    def ok(self, tol: float = TABLE_TOL) -> bool:
-        return self.max_error <= tol
+    def ok(self) -> bool:
+        return self.max_error <= TABLE_TOL
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ def test_criterion_1_table_reproduction():
     errors = []
     for table in tables:
         for row in table.rows:
-            if not row.ok(TABLE_TOL):
+            if not row.ok():
                 errors.append(f"{table.name}/{row.label}: {row.max_error:.2e}")
     by_name = {t.name: t for t in tables}
 

@@ -1,4 +1,7 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,3 +268,54 @@ def test_boolean_matrix_json_is_an_input_error(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["radius", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_matrix_sizes_are_checked_before_allocating(tmp_path, capsys):
+    # a short row under a vast `cols` is an input error that names the row
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 2**62, "entries": [[1]]}))
+    assert main(["radius", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: row 0 must hold {2**62} entries\n"
+
+
+def test_memory_exhaustion_is_an_input_error(matrix_file, capsys, monkeypatch):
+    def exhausted(T, cfg=None):
+        raise MemoryError("cannot allocate the grid")
+
+    monkeypatch.setattr(cli, "numerical_radius", exhausted)
+    assert main(["radius", matrix_file, "--grid", "400000000"]) == 2
+    assert capsys.readouterr().err == "error: cannot allocate the grid\n"
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_readme_synopsis_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    synopsis = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+                for line in block.splitlines() if line.startswith("opineq ")}
+    declared = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                for name, p in _subcommands().items()}
+    assert synopsis == declared
+
+
+def test_parser_owns_the_defaults():
+    sub = _subcommands()
+    expected = {
+        "radius": {"grid": 720, "format": "csv"},
+        "bounds": {"grid": 720, "seed": 0, "format": "csv"},
+        "tables": {"grid": 720, "format": "csv"},
+        "positivity": {"seed": 0, "format": "csv", "samples": None},
+        "fuzz": {"grid": 720, "seed": 1, "format": "csv", "kind": "integer-complex",
+                 "int_range": (0, 10)},
+        "conjecture": {"grid": 16, "seed": 1, "format": "csv", "kind": "integer-complex",
+                       "ascend_iters": 10},
+    }
+    assert set(sub) == set(expected)
+    for name, defaults in expected.items():
+        got = {dest: sub[name].get_default(dest) for dest in defaults}
+        assert got == defaults, name

@@ -18,7 +18,7 @@ def test_all_golden_rows_match():
     assert sum(len(t.rows) for t in tables) == 12
     for table in tables:
         for row in table.rows:
-            assert row.ok(TABLE_TOL), f"{table.name}/{row.label}: err {row.max_error:.2e}"
+            assert row.ok(), f"{table.name}/{row.label}: err {row.max_error:.2e}"
     assert elapsed < 10.0
 
 
