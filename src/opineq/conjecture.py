@@ -10,7 +10,10 @@ search reports, it never asserts.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -18,7 +21,7 @@ from . import radius
 from .ensembles import EnsembleSpec, generate, trial_rng
 from .errors import InvalidSpec
 from .inequalities import _half_diff_matrices
-from .linalg import re_im_parts, spectral_norm
+from .linalg import spectral_norm
 from .radius import SweepConfig, numerical_radius
 
 __all__ = ["ConjectureResult", "half_diff_slack", "conjecture_search"]
@@ -44,16 +47,18 @@ def half_diff_slack(T, cfg: SweepConfig | None = None) -> float:
     return numerical_radius(T, cfg).omega - lhs
 
 
-def _scan(spec: EnsembleSpec, cfg: SweepConfig) -> list[tuple[float, np.ndarray]]:
-    """(half_diff_slack(T, cfg), T) per draw; a chunk is one SVD pair and one kernel call."""
-    draws, scored = list(generate(spec)), []
-    size = max(1, SCAN_STACK_BYTES // (2 * cfg.grid_points * draws[0].size * 16))
-    for i in range(0, len(draws), size):
-        T = np.stack(draws[i : i + size])
-        A, B = re_im_parts(np.concatenate([T, _half_diff_matrices(T)["plus-re"]]))
-        res = radius._max_on_circle(A, B, None, cfg)
-        scored += [(t.omega - s.omega, M) for t, s, M in zip(res, res[len(T) :], draws[i : i + size])]
-    return scored
+def _scan(spec: EnsembleSpec, cfg: SweepConfig) -> Iterator[tuple[float, np.ndarray]]:
+    """Yield (half_diff_slack(T, cfg), T) per draw; a chunk, the only draws held,
+    is one SVD pair and one kernel call."""
+    draws = generate(spec)
+    chunk = [next(draws)]
+    size = max(1, SCAN_STACK_BYTES // (2 * cfg.grid_points * chunk[0].size * 16))
+    chunk += islice(draws, size - 1)
+    while chunk:
+        T = np.stack(chunk)
+        res = radius._max_on_circle(np.concatenate([T, _half_diff_matrices(T)["plus-re"]]), cfg)
+        yield from ((t.omega - s.omega, M) for t, s, M in zip(res, res[len(T) :], chunk))
+        chunk = list(islice(draws, size))
 
 
 def conjecture_search(
@@ -72,10 +77,8 @@ def conjecture_search(
     if ascend_iters < 0:
         raise InvalidSpec(f"ascend_iters must be >= 0, got {ascend_iters}")
     cfg = cfg or SweepConfig()
-    scored = _scan(spec, cfg)
-    trials = len(scored)
-    scored.sort(key=lambda pair: pair[0])
-    candidates = scored[: max(1, keep)]
+    candidates = heapq.nsmallest(max(1, keep), _scan(spec, cfg), key=lambda pair: pair[0])
+    trials = spec.count
 
     finalists = []
     for c_idx, (slack, T) in enumerate(candidates):

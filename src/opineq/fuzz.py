@@ -148,7 +148,7 @@ def _suite_majorization(rng, spec, index, cfg):
 
 
 def _suite_positivity(rng, spec, index, cfg):
-    """Alternate PSD and non-PSD blocks; encode the two-route agreement as
+    """Alternate PSD and non-PSD blocks; encode the three-route agreement as
     reports so violations surface like any other suite."""
     if index % 2 == 0:
         A, B, C = _gram_blocks(rng, spec.dim, spec.kind, spec.int_range)

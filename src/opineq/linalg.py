@@ -77,12 +77,12 @@ def inner(x, y) -> complex:
 
 
 def fro_norm(T) -> float:
-    """Frobenius norm, taken of T divided by its largest entry so that no
-    square overflows or underflows; NaN and inf entries give NaN and inf."""
+    """Frobenius norm, taken of |T| over its largest entry (real: complex division by a subnormal
+    overflows) so that no square overflows or underflows; NaN and inf entries give NaN and inf."""
     top = float(np.max(np.abs(T), initial=0.0))
     if not 0.0 < top < np.inf:
         return top
-    return top * float(np.linalg.norm(np.asarray(T) / top))
+    return top * float(np.linalg.norm(np.abs(T) / top))
 
 
 def spectral_norm(T) -> float:

@@ -6,6 +6,7 @@ The radius is computed from
 where Re(exp(1j*theta) T) = cos(theta) Re T - sin(theta) Im T, so one
 sweep only needs the two Hermitian parts.  The sup over the full circle
 of lambda_max equals the sup of the norm (send theta to theta + pi).
+sup_theta_norm is 2 w of an off-diagonal block, so the kernel solves one problem.
 """
 
 from __future__ import annotations
@@ -82,11 +83,11 @@ class SweepResult:
 
 
 def _refine(M, own, t, lo, hi, owners):
-    """Safeguarded Newton steps from angles t in brackets (lo, hi) on matrices own of M.
+    """Safeguarded Newton steps from angles t in (lo, hi) on matrices own of the (A, B) stack M.
 
     One batched eigh per step over the brackets still active.  With
     H' = -sin(theta) A - cos(theta) B and the top eigenpair (lam, v),
-        f' = v* H' v,  f'' = -lam + v* C v + 2 sum_j |v_j* H' v|^2 / (lam - lam_j)
+        f' = v* H' v,  f'' = -lam + 2 sum_j |v_j* H' v|^2 / (lam - lam_j)
     over the eigenpairs j below the top (Kato's perturbation series); a
     tie, as for an eigenvalue repeated at every theta, adds no curvature.
     Each step shrinks its bracket by the sign of f'.  A step that leaves
@@ -97,9 +98,9 @@ def _refine(M, own, t, lo, hi, owners):
     """
     M, seen = M[own], []
     for _ in range(_MAX_STEPS):
-        A, B, C = M[:, 0], M[:, 1], M[:, 2]
+        A, B = M[:, 0], M[:, 1]
         c, s = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
-        lam, V = np.linalg.eigh(C + c * A - s * B)
+        lam, V = np.linalg.eigh(c * A - s * B)
         top, v = lam[:, -1], V[:, :, -1:]
         seen.append((own, t, top, V[:, :, -1]))
         # w[:, j] = -v_j* H' v for every eigenvector v_j; the last is -f'.
@@ -109,7 +110,7 @@ def _refine(M, own, t, lo, hi, owners):
         gap = top[:, None] - lam[:, :-1]
         gap[gap <= 0.0] = np.inf
         terms = np.abs(w[:, :-1]) ** 2 / gap
-        d2 = (vh[:, -1] * (C @ v)[:, :, 0]).sum(axis=1).real - top + 2.0 * terms.sum(axis=1)
+        d2 = 2.0 * terms.sum(axis=1) - top
         newton = t - d1 / np.where(d2 < 0.0, d2, -np.inf)  # no step unless f'' < 0
         lo, hi = np.where(d1 > 0.0, t, lo), np.where(d1 > 0.0, hi, t)
         nxt = np.where((newton > lo) & (newton < hi), newton, (lo + hi) / 2.0)
@@ -124,10 +125,10 @@ def _refine(M, own, t, lo, hi, owners):
     return t[first], top[first], v.take(first, axis=0)
 
 
-def _angles_above(A, B, C, value, eta):
+def _angles_above(A, B, value, eta):
     """Angles where each f of the (k, n, n) stacks crosses r = value + eta.
 
-    H(theta) - r is singular at z = exp(1j*theta) iff Q(z) = z^2 P + z (C - r) + P*
+    H(theta) - r is singular at z = exp(1j*theta) iff Q(z) = z^2 P - z r + P*
     is, with P = (A + iB)/2 (He & Watson, IMA J. Numer. Anal. 1997).  The
     Moebius map z = (mu + a)/(1 + a mu) keeps the unit circle and makes the
     leading coefficient a^2 Q(1/a) invertible even for singular P.  A
@@ -136,7 +137,7 @@ def _angles_above(A, B, C, value, eta):
     Returns (clear, own, t): clear[i] certifies max f < r; t sorted by (own, t).
     """
     a, (k, n), eye = _MOBIUS, A.shape[:2], np.eye(A.shape[1])
-    P, D = (A + 1j * B) / 2.0, C - (value + eta)[:, None, None] * eye
+    P, D = (A + 1j * B) / 2.0, -(value + eta)[:, None, None] * eye
     Ph = P.conj().swapaxes(1, 2)
     rhs = np.concatenate([a * a * P + a * D + Ph, 2.0 * a * A + (1.0 + a * a) * D], axis=2)
     companion = np.zeros((k, 2 * n, 2 * n), dtype=complex)
@@ -147,7 +148,7 @@ def _angles_above(A, B, C, value, eta):
     except np.linalg.LinAlgError:  # one matrix at a time: only its own failure leaves it uncertified
         if k == 1:
             return np.zeros(1, bool), np.zeros(0, int), np.zeros(0)
-        parts = [_angles_above(*(X[i : i + 1] for X in (A, B, C, value, eta))) for i in range(k)]
+        parts = [_angles_above(*(X[i : i + 1] for X in (A, B, value, eta))) for i in range(k)]
         return tuple(map(np.concatenate, zip(*((p[0], p[1] + i, p[2]) for i, p in enumerate(parts)))))
     own, j = np.nonzero(np.abs(np.abs(mu) - 1.0) <= _UNIMODULAR_TOL)
     t = np.zeros(0)
@@ -155,15 +156,15 @@ def _angles_above(A, B, C, value, eta):
         mu = mu[own, j]
         t = np.angle((mu + a) / (1.0 + a * mu))
         c, s = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
-        keep = np.linalg.eigvalsh(C[own] + c * A[own] - s * B[own])[:, -1] > (value + eta / 2.0)[own]
+        keep = np.linalg.eigvalsh(c * A[own] - s * B[own])[:, -1] > (value + eta / 2.0)[own]
         order = np.lexsort((t[keep], own[keep]))
         own, t = own[keep][order], t[keep][order]
     return np.bincount(own, minlength=k) == 0, own, t
 
 
-def _max_on_circle(A: np.ndarray, B: np.ndarray, C: np.ndarray | None, cfg: SweepConfig) -> list[SweepResult]:
-    """Maximize f(theta) = lambda_max(C + cos(theta) A - sin(theta) B) for each
-    matrix of the (k, n, n) stacks A, B, C; one SweepResult each.
+def _max_on_circle(T: np.ndarray, cfg: SweepConfig) -> list[SweepResult]:
+    """Numerical radius of each matrix of the (k, n, n) stack T, one SweepResult each:
+    maximize f(theta) = lambda_max(cos(theta) A - sin(theta) B), with A, B = Re T, Im T.
 
     One batched eigvalsh over all matrices and grid angles brackets each
     matrix's largest grid value, the later angle on a tie; ``_refine``
@@ -171,24 +172,20 @@ def _max_on_circle(A: np.ndarray, B: np.ndarray, C: np.ndarray | None, cfg: Swee
     to the level-set test: it certifies each largest value seen or gives
     crossing angles, each restarting Newton within its neighbours (Mengi &
     Overton, IMA J. Numer. Anal. 2005) for at most _RESTARTS rounds.
-    C None means C = 0, where H(theta + pi) = -H(theta): an even grid then
-    solves only its angles in [0, pi) and reads f(theta + pi) as
-    -lambda_min(H(theta)).
+    As H(theta + pi) = -H(theta), an even grid solves only its angles in
+    [0, pi) and reads f(theta + pi) as -lambda_min(H(theta)).
     """
     # Exact power-of-two scales keep f'' finite; parts divide apart (complex / subnormal overflows).
-    M = np.concatenate([A, B, np.zeros_like(A) if C is None else C], axis=1, dtype=complex)
-    scale = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(1, 2)))[1] - 1)
-    M = (M.view(float) / scale[:, None, None]).view(complex).reshape(len(M), 3, -1, M.shape[-1])
+    M = np.stack(re_im_parts(T), axis=1)
+    scale = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(1, 2, 3)))[1] - 1)
+    M = (M.view(float) / scale[:, None, None, None]).view(complex)
 
     h = TWO_PI / cfg.grid_points
     thetas = np.arange(cfg.grid_points) * h
-    fold = C is None and cfg.grid_points % 2 == 0
+    fold = cfg.grid_points % 2 == 0
     half = thetas[: cfg.grid_points // 2] if fold else thetas
     c, s = np.cos(half)[:, None, None], np.sin(half)[:, None, None]
-    grid = c * M[:, 0, None] - s * M[:, 1, None]
-    if C is not None:
-        grid += M[:, 2, None]  # in place: a third stack of n x n matrices would raise peak memory
-    lam = np.linalg.eigvalsh(grid)
+    lam = np.linalg.eigvalsh(c * M[:, 0, None] - s * M[:, 1, None])
     vals = np.concatenate([lam[..., -1], -lam[..., 0]], axis=1) if fold else lam[..., -1]
     own = np.arange(len(M))
     pick = cfg.grid_points - 1 - np.argmax(vals[:, ::-1], axis=1)  # largest; ties: the later angle
@@ -198,7 +195,7 @@ def _max_on_circle(A: np.ndarray, B: np.ndarray, C: np.ndarray | None, cfg: Swee
     vertex = np.divide(lv - rv, bend, out=np.zeros_like(bend), where=bend < 0.0)
     best = _refine(M, own, th + 0.5 * h * vertex, th - h, th + h, own)
     eta = _CERT_RTOL * (1.0 + np.abs(best[1]))
-    certified, own, t = _angles_above(M[:, 0], M[:, 1], M[:, 2], best[1], eta)
+    certified, own, t = _angles_above(M[:, 0], M[:, 1], best[1], eta)
     for _ in range(_RESTARTS):
         if t.size == 0:
             break
@@ -247,12 +244,11 @@ def numerical_radius(T, cfg: SweepConfig | None = None) -> SweepResult:
     cfg = cfg or DEFAULT_SWEEP
     memo = _MEMO.get()
     if memo is not None:
-        T = np.asarray(T, dtype=np.complex128)  # re_im_parts checks it, once, on a miss
+        T = np.asarray(T, dtype=np.complex128)  # as_matrix checks it, once, on a miss
         key = (T.shape, T.tobytes(), cfg)
         if key in memo:
             return memo[key]
-    A, B = re_im_parts(T)
-    r = _max_on_circle(A[None], B[None], None, cfg)[0]
+    r = _max_on_circle(as_matrix(T)[None], cfg)[0]
     result = SweepResult(r.omega, r.theta_star, _fix_phase(r.witness), r.certified, r.margin)
     if memo is not None:
         result.witness.flags.writeable = False
@@ -300,7 +296,7 @@ def rayleigh_radius(T, trials: int = 16, seed: int = 0) -> tuple[float, np.ndarr
 
 
 def _off_diag(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """[[0, X], [Y*, 0]]; for Y = X, the Hermitian dilation, with top eigenvalue ||X||."""
+    """[[0, X], [Y*, 0]]."""
     p, q = X.shape
     return block2(np.zeros((p, p)), X, Y.conj().T, np.zeros((q, q)))
 
@@ -308,23 +304,21 @@ def _off_diag(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def sup_theta_norm(X, Y, cfg: SweepConfig | None = None) -> float:
     """sup over theta of the spectral norm of X + exp(1j*theta) Y.
 
-    The Hermitian dilation dil(M) = [[0, M], [M*, 0]] is linear, so
-    dil(X + exp(1j*theta) Y) = dil(X) + cos(theta) dil(Y) - sin(theta) dil(-1j*Y),
-    and the radius kernel maximizes its top eigenvalue.
+    With theta = 2 phi, Re(exp(1j*phi) [[0, Y], [X*, 0]]) is the Hermitian
+    dilation [[0, M], [M*, 0]] of M = exp(-1j*phi) (X + exp(1j*theta) Y) / 2,
+    whose top eigenvalue is ||M||; so the sup is 2 w([[0, Y], [X*, 0]]).
     """
-    cfg = cfg or DEFAULT_SWEEP
     X, Y = as_matrix(X), as_matrix(Y)
     if X.shape != Y.shape:
         raise DimensionMismatch(f"shapes {X.shape} and {Y.shape} differ")
-    A, B, C = (_off_diag(M, M)[None] for M in (Y, -1j * Y, X))
-    return _max_on_circle(A, B, C, cfg)[0].omega
+    return 2.0 * numerical_radius(_off_diag(Y, X), cfg).omega
 
 
 def off_diag_radius(X, Y, cfg: SweepConfig | None = None) -> float:
     """Numerical radius of [[0, X], [Y*, 0]].
 
-    Also evaluates sup_theta ||X + exp(1j*theta) Y|| by a second sweep,
-    over the Hermitian dilation of X + exp(1j*theta) Y, and checks the identity
+    Also evaluates sup_theta ||X + exp(1j*theta) Y|| by sup_theta_norm, a sweep
+    over the adjoint [[0, Y], [X*, 0]], and checks the identity
         2 w([[0, X], [Y*, 0]]) = sup_theta ||X + exp(1j*theta) Y||
     to 1e-8 * scale, raising IdentityMismatch on disagreement.
     """

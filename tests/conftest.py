@@ -35,9 +35,9 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = radius._max_on_circle
 
-    def counting(A, *args, **kwargs):
-        calls.append(len(A))
-        return kernel(A, *args, **kwargs)
+    def counting(T, *args, **kwargs):
+        calls.append(len(T))
+        return kernel(T, *args, **kwargs)
 
     monkeypatch.setattr(radius, "_max_on_circle", counting)
     return calls

@@ -242,6 +242,11 @@ def test_bounds_at_extreme_scale(tmp_path, capsys):
     capsys.readouterr()
     assert main(["bounds", str(big), "--suite", "mixed-schwarz"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # subnormal entries: the Hermitian |T| must pass the Hermitian check
+    tiny = tmp_path / "tiny.json"
+    save_matrix(1e-310 * np.array([[1, 1], [0, 1]]), tiny)
+    assert main(["bounds", str(tiny), "--suite", "mixed-schwarz"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_positivity_at_extreme_scale(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opineq import EnsembleSpec, SweepConfig, conjecture, conjecture_search, half_diff_slack
+from opineq import EnsembleSpec, SweepConfig, conjecture, conjecture_search, half_diff_slack, radius
 from opineq.ensembles import generate
 
 
@@ -41,7 +41,7 @@ def test_stacked_scan_equals_serial_slacks(monkeypatch, count, budget):
         monkeypatch.setattr(conjecture, "SCAN_STACK_BYTES", budget)
     spec = EnsembleSpec(kind="integer-complex", dim=3, count=count, seed=5)
     cfg = SweepConfig(grid_points=16)
-    scored = conjecture._scan(spec, cfg)
+    scored = list(conjecture._scan(spec, cfg))
     draws = list(generate(spec))
     assert [s for s, _ in scored] == [half_diff_slack(T, cfg) for T in draws]
     for (_, T), D in zip(scored, draws):
@@ -53,6 +53,28 @@ def test_scan_chunk_grid_stack_stays_within_the_byte_budget(monkeypatch, sweeps)
     grids = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: grids.append(M.nbytes) or eigvalsh(M))
-    conjecture._scan(EnsembleSpec(kind="gaussian-complex", dim=4, count=50, seed=6), SweepConfig(grid_points=16))
+    list(conjecture._scan(EnsembleSpec(kind="gaussian-complex", dim=4, count=50, seed=6), SweepConfig(grid_points=16)))
     assert max(grids) <= conjecture.SCAN_STACK_BYTES // 2
     assert len(sweeps) == 100
+
+
+def test_scan_holds_one_chunk_of_draws_at_a_time(monkeypatch):
+    # 28 draws of dim 3 at grid 16 make a chunk; each kernel call comes
+    # before the next chunk is drawn, so memory does not grow with count.
+    pulled, at_kernel = [], []
+    draws, kernel = conjecture.generate, radius._max_on_circle
+
+    def counting(spec):
+        for T in draws(spec):
+            pulled.append(T)
+            yield T
+
+    def scoring(*args):
+        at_kernel.append(len(pulled))
+        return kernel(*args)
+
+    monkeypatch.setattr(conjecture, "generate", counting)
+    monkeypatch.setattr(radius, "_max_on_circle", scoring)
+    spec = EnsembleSpec(kind="integer-complex", dim=3, count=100, seed=5)
+    assert len(list(conjecture._scan(spec, SweepConfig(grid_points=16)))) == 100
+    assert at_kernel == [28, 56, 84, 100]

@@ -156,6 +156,9 @@ def test_fro_norm_and_is_hermitian_at_extreme_scale():
     for c in (1e155, 1e200):
         assert is_hermitian(c * H)
         assert not is_hermitian(c * (H + np.triu(H)))
+    # a subnormal largest entry: dividing the complex entries by it overflowed
+    assert is_hermitian(1e-310 * H)
+    assert fro_norm(1e-310 * H) == pytest.approx(1e-310 * math.sqrt(18), rel=1e-12)
     # NaN stays NaN, inf stays inf, and zero stays zero
     assert math.isnan(fro_norm(np.array([[1.0, np.nan], [0.0, 1.0]])))
     assert not is_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]]))

@@ -17,6 +17,7 @@ from opineq import (
     numerical_radius,
     off_diag_radius,
     rayleigh_radius,
+    re_im_parts,
     spectral_norm,
     sup_theta_norm,
 )
@@ -216,6 +217,25 @@ def test_sup_theta_norm_against_dense_svd_grid():
         assert sup <= dense + ny * (math.pi / 4096) ** 2 / 2 + 1e-12 * scale
 
 
+def test_off_diag_radius_against_dense_svd_grid():
+    # sup_theta_norm sweeps the adjoint of [[0, X], [Y*, 0]], so the
+    # identity check inside off_diag_radius compares w(T) with w(T*); this
+    # checks 2 w(T) against the norms themselves, with the bound above.
+    rng = np.random.default_rng(24)
+    thetas = np.arange(4096) * (2 * math.pi / 4096)
+    for _ in range(20):
+        p, q = (int(k) for k in rng.integers(1, 6, size=2))
+        X = random_complex(rng, p, q)
+        Y = random_complex(rng, p, q)
+        two_w = 2 * off_diag_radius(X, Y)
+        M = X[None] + np.exp(1j * thetas)[:, None, None] * Y[None]
+        dense = np.linalg.svd(M, compute_uv=False)[:, 0].max()
+        ny = spectral_norm(Y)
+        scale = 1 + spectral_norm(X) + ny
+        assert dense - 1e-12 * scale <= two_w
+        assert two_w <= dense + ny * (math.pi / 4096) ** 2 / 2 + 1e-12 * scale
+
+
 def test_off_diag_shape_check():
     with pytest.raises(DimensionMismatch):
         off_diag_radius(np.eye(2), np.eye(3))
@@ -273,6 +293,8 @@ def test_non_square_raises_not_square():
         numerical_radius(T)
     with pytest.raises(NotSquare):
         rayleigh_radius(T)
+    with pytest.raises(DimensionMismatch):  # a stack is no matrix
+        numerical_radius(np.ones((2, 3, 3)))
 
 
 def test_sweep_deterministic():
@@ -300,19 +322,12 @@ def test_singular_repeated_and_extreme_scale_inputs_are_certified():
             assert res.margin <= 1e-8 * res.omega
 
 
-def hermitian_stacks(Ts):
-    """The (k, n, n) stacks A, B and C = None (C = 0) that numerical_radius hands the kernel."""
-    A = np.stack([(T + T.conj().T) / 2 for T in Ts])
-    B = np.stack([(T - T.conj().T) / 2j for T in Ts])
-    return A, B, None
-
-
-def assert_stack_matches_single_calls(A, B, C, cfg):
+def assert_stack_matches_single_calls(T, cfg):
     """Each stacked result equals its own k = 1 call bitwise."""
-    stacked = radius._max_on_circle(A, B, C, cfg)
-    assert len(stacked) == len(A)
+    stacked = radius._max_on_circle(T, cfg)
+    assert len(stacked) == len(T)
     for i, s in enumerate(stacked):
-        (r,) = radius._max_on_circle(A[i : i + 1], B[i : i + 1], C if C is None else C[i : i + 1], cfg)
+        (r,) = radius._max_on_circle(T[i : i + 1], cfg)
         assert (s.omega, s.theta_star, s.certified, s.margin) == (r.omega, r.theta_star, r.certified, r.margin)
         np.testing.assert_array_equal(s.witness, r.witness)
     return stacked
@@ -340,43 +355,44 @@ def test_coarse_grid_misses_are_found_by_restarts(monkeypatch):
     assert restarted >= 1
     for Ts in draws.values():
         calls.clear()
-        assert_stack_matches_single_calls(*hermitian_stacks(Ts), coarse)
+        assert_stack_matches_single_calls(np.stack(Ts), coarse)
         assert len(calls) > 1
 
 
 def test_each_matrix_of_a_stack_refines_one_bracket_at_its_grid_maximum(monkeypatch):
     # The first refinement gets one bracket per matrix, around its largest
-    # grid value; on a tie the later angle wins, as for the last matrix,
+    # grid value; on a tie the later angle wins, as for the zero matrix,
     # whose f is the same at every angle.
-    # C None folds the grid: diag(1, -1) ties at 0 and pi, across its two
-    # halves, and takes pi; the zero matrix takes the last angle.
+    # The odd grid 63 solves every angle: the zero matrix takes the last, 62.
+    # The even grid 64 folds: diag(1, -1) ties at 0 and pi, across its two
+    # halves, and takes pi; the zero matrix takes the last angle, 63.
     refine, calls = radius._refine, []
     monkeypatch.setattr(radius, "_refine", lambda M, own, t, lo, *a: calls.append((own, lo)) or refine(M, own, t, lo, *a))
     rng = np.random.default_rng(22)
     Ts = [random_complex(rng, 5) for _ in range(6)]
-    A, B, _ = hermitian_stacks([*Ts, np.zeros((5, 5))])
-    C = np.zeros_like(A)
-    C[6] = np.diag([2.0, 1.0, 1.0, 0.5, 0.0])
-    folded = (*hermitian_stacks([*Ts, np.diag([1.0, -1.0, 0.0, 0.0, 0.0]), np.zeros((5, 5))]), {6: 32, 7: 63})
-    h = 2 * math.pi / 64
-    thetas = np.arange(64) * h
-    for A, B, C, ties in ((A, B, C, {6: 63}), folded):
+    Z = np.zeros((5, 5))
+    cases = ((63, [*Ts, Z], {6: 62}), (64, [*Ts, np.diag([1.0, -1.0, 0.0, 0.0, 0.0]), Z], {6: 32, 7: 63}))
+    for grid, stack, ties in cases:
+        T = np.stack(stack)
+        A, B = re_im_parts(T)
+        h = 2 * math.pi / grid
+        thetas = np.arange(grid) * h
         calls.clear()
-        radius._max_on_circle(A, B, C, SweepConfig(grid_points=64))
+        radius._max_on_circle(T, SweepConfig(grid_points=grid))
         own, lo = calls[0]
-        assert own.tolist() == list(range(len(A)))
+        assert own.tolist() == list(range(len(T)))
         picks = [round((x + h) / h) for x in lo]
-        for i in range(len(A)):
+        for i in range(len(T)):
             H = np.cos(thetas)[:, None, None] * A[i] - np.sin(thetas)[:, None, None] * B[i]
-            vals = np.linalg.eigvalsh(H if C is None else C[i] + H)[:, -1]
+            vals = np.linalg.eigvalsh(H)[:, -1]
             assert picks[i] == np.flatnonzero(vals == vals.max())[-1]
         assert {i: picks[i] for i in ties} == ties
 
 
-def test_radius_grid_solves_half_the_circle_and_sup_theta_norm_all_of_it(monkeypatch):
+def test_even_grids_solve_half_the_circle_also_for_sup_theta_norm(monkeypatch):
     # Re(exp(1j*(theta + pi)) T) = -Re(exp(1j*theta) T): a radius call on an
-    # even grid solves the angles in [0, pi) only.  An odd grid, and
-    # sup_theta_norm, whose dilation has C != 0, solve every angle.
+    # even grid solves the angles in [0, pi) only, and so does
+    # sup_theta_norm, which is one radius call.  An odd grid solves every angle.
     eigvalsh, grids = np.linalg.eigvalsh, []
 
     def counting(M):
@@ -391,10 +407,10 @@ def test_radius_grid_solves_half_the_circle_and_sup_theta_norm_all_of_it(monkeyp
         grids.clear()
         numerical_radius(T, SweepConfig(grid_points=grid))
         assert grids == [(1, solved)]
-    for grid in (16, 9):
+    for grid, solved in ((16, 8), (9, 9)):
         grids.clear()
         sup_theta_norm(T, random_complex(rng, 3), SweepConfig(grid_points=grid))
-        assert grids == [(1, grid)]
+        assert grids == [(1, solved)]
 
 
 def stack_member(kind, n, seed, scale):
@@ -422,7 +438,7 @@ def stack_member(kind, n, seed, scale):
 )
 def test_stacked_kernel_equals_single_calls_bitwise(n, members, grid):
     Ts = [stack_member(kind, n, seed, scale) for kind, seed, scale in members]
-    for r in assert_stack_matches_single_calls(*hermitian_stacks(Ts), SweepConfig(grid_points=grid)):
+    for r in assert_stack_matches_single_calls(np.stack(Ts), SweepConfig(grid_points=grid)):
         assert r.certified
 
 
@@ -430,11 +446,11 @@ def test_pencil_failure_leaves_only_its_own_matrix_uncertified(monkeypatch, swee
     # The level-set pencil of matrix 2 raises LinAlgError; the stacked call
     # must fall back to one matrix at a time and certify all the others.
     rng = np.random.default_rng(19)
-    A, B, C = hermitian_stacks([random_complex(rng, 4) for _ in range(5)])
+    T = np.stack([random_complex(rng, 4) for _ in range(5)])
     cfg = SweepConfig(grid_points=16)
     solve, leads = np.linalg.solve, []
     monkeypatch.setattr(np.linalg, "solve", lambda L, rhs: leads.append(L) or solve(L, rhs))
-    singles = [radius._max_on_circle(A[i : i + 1], B[i : i + 1], C, cfg)[0] for i in range(5)]
+    singles = [radius._max_on_circle(T[i : i + 1], cfg)[0] for i in range(5)]
     poisoned = leads[2][0]
 
     def failing(L, rhs):
@@ -443,7 +459,7 @@ def test_pencil_failure_leaves_only_its_own_matrix_uncertified(monkeypatch, swee
         return solve(L, rhs)
 
     monkeypatch.setattr(np.linalg, "solve", failing)
-    stacked = radius._max_on_circle(A, B, C, cfg)
+    stacked = radius._max_on_circle(T, cfg)
     assert not stacked[2].certified and stacked[2].margin == math.inf
     assert stacked[2].omega == singles[2].omega
     for i in (0, 1, 3, 4):
@@ -457,8 +473,8 @@ def test_pencil_failure_leaves_only_its_own_matrix_uncertified(monkeypatch, swee
 
 def test_sweeps_fixture_records_every_matrix_of_a_stacked_call(sweeps):
     rng = np.random.default_rng(20)
-    A, B, C = hermitian_stacks([random_complex(rng, 3) for _ in range(4)])
-    stacked = radius._max_on_circle(A, B, C, SweepConfig(grid_points=16))
+    T = np.stack([random_complex(rng, 3) for _ in range(4)])
+    stacked = radius._max_on_circle(T, SweepConfig(grid_points=16))
     assert len(sweeps) == 4 and all(a is b for a, b in zip(sweeps, stacked))
 
 
@@ -477,9 +493,8 @@ def test_sweeps_fixture_fails_a_test_with_an_uncertified_stacked_result(pytester
                     raise np.linalg.LinAlgError("injected")
                 return solve(L, rhs)
             monkeypatch.setattr(np.linalg, "solve", failing)
-            A = np.stack([np.diag([1.0, 0.5]), np.diag([-1.0, -2.0])]).astype(complex)
-            B = np.zeros_like(A)
-            results = radius._max_on_circle(A, B, B, SweepConfig(grid_points=16))
+            T = np.stack([np.diag([1.0, 0.5]), np.diag([-1.0, -2.0])]).astype(complex)
+            results = radius._max_on_circle(T, SweepConfig(grid_points=16))
             assert [r.certified for r in results] == [True, False]
     """)
     result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
@@ -497,10 +512,9 @@ def test_level_test_drops_near_circle_roots_below_the_level(monkeypatch):
     for _ in range(20):
         T = random_complex(rng, 4)
         omega = numerical_radius(T).omega
-        A, B, _ = hermitian_stacks([T])
-        C = np.zeros_like(A)
+        A, B = re_im_parts(T[None])
         batches.clear()
-        clear, own, t = radius._angles_above(A, B, C, np.array([omega]), np.array([1e-14 * omega]))
+        clear, own, t = radius._angles_above(A, B, np.array([omega]), np.array([1e-14 * omega]))
         assert t.size == 0 and own.size == 0 and clear.tolist() == [True]
         assert batches and batches[0] >= 2
 
@@ -576,11 +590,10 @@ def test_level_test_is_never_clear_below_the_radius(n, seed, grid, kind):
     # crossing"; so no constant f (the shift), which never crosses a lower level.
     T = stack_member(kind, n, seed, 1.0)
     res = numerical_radius(T, SweepConfig(grid_points=grid))
-    A, B, _ = hermitian_stacks([T])
-    C = np.zeros_like(A)
+    A, B = re_im_parts(T[None])
     eta = radius._CERT_RTOL * (1.0 + res.omega)
     level = res.omega - 1e-6 * (1.0 + res.omega)
-    clear, _, _ = radius._angles_above(A, B, C, np.array([level - eta]), np.array([eta]))
+    clear, _, _ = radius._angles_above(A, B, np.array([level - eta]), np.array([eta]))
     assert clear.tolist() == [False]
 
 
