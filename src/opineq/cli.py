@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 violation found (a failed bound, a mismatched
-golden table, or a conjecture counterexample), 2 input error.
+golden table, or a conjecture counterexample), 2 input error, 141 stdout
+closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -194,7 +196,12 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter shutdown
+        return code
+    except BrokenPipeError:  # the reader left; shutdown flushes into devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OpineqError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

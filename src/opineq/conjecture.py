@@ -41,10 +41,16 @@ class ConjectureResult:
     certified: bool
 
 
-def half_diff_slack(T, cfg: SweepConfig | None = None) -> float:
-    """w(T) - w((|T| - |T*|)/2 + i Re T); negative means counterexample."""
-    lhs = numerical_radius(_half_diff_matrices(T)["plus-re"], cfg).omega
-    return numerical_radius(T, cfg).omega - lhs
+def half_diff_slack(T, cfg: SweepConfig | None = None, to_beat: float | None = None) -> float:
+    """w(T) - w(S) with S = (|T| - |T*|)/2 + i Re T; negative means counterexample.
+
+    Where a level test certifies w(S) < w(T) - to_beat - margin, w(S) is not
+    computed: the slack is at least the returned to_beat + margin, so
+    ``slack < to_beat`` decides as the exact slack does."""
+    S, r = _half_diff_matrices(T)["plus-re"], numerical_radius(T, cfg)
+    if to_beat is not None and radius.radius_below(S, r.omega - to_beat - r.margin):
+        return to_beat + r.margin
+    return r.omega - numerical_radius(S, cfg).omega
 
 
 def _scan(spec: EnsembleSpec, cfg: SweepConfig) -> Iterator[tuple[float, np.ndarray]]:
@@ -72,12 +78,15 @@ def conjecture_search(
 
     Each descent round tries ``perturbations`` random perturbations of
     Frobenius size step (initially 0.1 * ||T||, decaying by 0.7 per
-    round).  Deterministic for a fixed spec.
+    round), most of them rejected by ``half_diff_slack``'s level test, not a
+    second radius, with the same decisions.  Deterministic for a fixed spec.
     """
-    if ascend_iters < 0:
-        raise InvalidSpec(f"ascend_iters must be >= 0, got {ascend_iters}")
+    for name, value, least in (("ascend_iters", ascend_iters, 0), ("keep", keep, 1),
+                               ("perturbations", perturbations, 0)):
+        if value < least:
+            raise InvalidSpec(f"{name} must be >= {least}, got {value}")
     cfg = cfg or SweepConfig()
-    candidates = heapq.nsmallest(max(1, keep), _scan(spec, cfg), key=lambda pair: pair[0])
+    candidates = heapq.nsmallest(keep, _scan(spec, cfg), key=lambda pair: pair[0])
     trials = spec.count
 
     finalists = []
@@ -93,7 +102,7 @@ def conjecture_search(
                 if g_norm == 0.0:
                     continue
                 cand = current_T + (step / g_norm) * g
-                s = half_diff_slack(cand, cfg)
+                s = half_diff_slack(cand, cfg, to_beat=current_slack)
                 trials += 1
                 if s < current_slack:
                     current_slack, current_T = s, cand

@@ -36,6 +36,7 @@ __all__ = [
     "SweepConfig",
     "SweepResult",
     "numerical_radius",
+    "radius_below",
     "rayleigh_radius",
     "sup_theta_norm",
     "off_diag_radius",
@@ -162,6 +163,14 @@ def _angles_above(A, B, value, eta):
     return np.bincount(own, minlength=k) == 0, own, t
 
 
+def _scaled_parts(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re T, Im T) of the (k, n, n) stack T, (k, 2, n, n), over power-of-two scales; the scales."""
+    # Exact power-of-two scales keep f'' finite; parts divide apart (complex / subnormal overflows).
+    M = np.stack(re_im_parts(T), axis=1)
+    scale = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(1, 2, 3)))[1] - 1)
+    return (M.view(float) / scale[:, None, None, None]).view(complex), scale
+
+
 def _max_on_circle(T: np.ndarray, cfg: SweepConfig) -> list[SweepResult]:
     """Numerical radius of each matrix of the (k, n, n) stack T, one SweepResult each:
     maximize f(theta) = lambda_max(cos(theta) A - sin(theta) B), with A, B = Re T, Im T.
@@ -175,11 +184,7 @@ def _max_on_circle(T: np.ndarray, cfg: SweepConfig) -> list[SweepResult]:
     As H(theta + pi) = -H(theta), an even grid solves only its angles in
     [0, pi) and reads f(theta + pi) as -lambda_min(H(theta)).
     """
-    # Exact power-of-two scales keep f'' finite; parts divide apart (complex / subnormal overflows).
-    M = np.stack(re_im_parts(T), axis=1)
-    scale = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(1, 2, 3)))[1] - 1)
-    M = (M.view(float) / scale[:, None, None, None]).view(complex)
-
+    M, scale = _scaled_parts(T)
     h = TWO_PI / cfg.grid_points
     thetas = np.arange(cfg.grid_points) * h
     fold = cfg.grid_points % 2 == 0
@@ -210,6 +215,21 @@ def _max_on_circle(T: np.ndarray, cfg: SweepConfig) -> list[SweepResult]:
         own = todo[own]
     rows = zip(*(x.tolist() for x in (best[0], best[1], certified, eta, scale)), best[2])
     return [SweepResult(w * s, t % TWO_PI, x, c, e * s if c else math.inf) for t, w, c, e, s, x in rows]
+
+
+def radius_below(T, level) -> bool:
+    """True only where w(T) < level is certified: f(0) lies below the band
+    f > level - eta/2 where the level-set test counts crossings, and it finds
+    none (f(0) is checked, as a constant f never crosses).  A non-finite level
+    or a failed eigensolve gives False."""
+    M, scale = _scaled_parts(as_matrix(T)[None])
+    r = float(level) / float(scale[0])  # a Python float division overflows to inf, silently
+    eta = _CERT_RTOL * (1.0 + abs(r))
+    try:
+        return bool(math.isfinite(r) and np.linalg.eigvalsh(M[0, 0])[-1] < r - eta / 2.0
+                    and _angles_above(M[:, 0], M[:, 1], np.array([r - eta]), np.array([eta]))[0][0])
+    except np.linalg.LinAlgError:
+        return False
 
 
 def _fix_phase(x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -163,9 +166,9 @@ def test_conjecture_scores_every_slack_at_the_campaign_grid(monkeypatch, capsys,
     grids = []
     slack = conjecture.half_diff_slack
 
-    def recording(T, cfg=None):
+    def recording(T, cfg=None, **kwargs):
         grids.append(None if cfg is None else cfg.grid_points)
-        return slack(T, cfg)
+        return slack(T, cfg, **kwargs)
 
     monkeypatch.setattr(cli, "half_diff_slack", recording)
     monkeypatch.setattr(conjecture, "half_diff_slack", recording)
@@ -204,6 +207,20 @@ def test_fuzz_gram_kind_compression_tests_square_corners(capsys):
                  "--kind", "gram-psd-block", "--count", "20"]) == 0
     row = capsys.readouterr().out.strip().split("\r\n")[1].split(",")
     assert row[:5] == ["compression", "20", "10", "0", "10"]
+
+
+def test_closed_stdout_is_not_an_input_error(matrix_file):
+    # The pipe has no reader before the CLI starts, so its first flush fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "opineq", "radius", matrix_file],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_input_errors(tmp_path, capsys):

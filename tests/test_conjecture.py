@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from opineq import EnsembleSpec, SweepConfig, conjecture, conjecture_search, half_diff_slack, radius
+from opineq import (EnsembleSpec, InvalidSpec, SweepConfig, conjecture, conjecture_search,
+                    half_diff_slack, radius)
 from opineq.ensembles import generate
 
 
@@ -78,3 +81,65 @@ def test_scan_holds_one_chunk_of_draws_at_a_time(monkeypatch):
     spec = EnsembleSpec(kind="integer-complex", dim=3, count=100, seed=5)
     assert len(list(conjecture._scan(spec, SweepConfig(grid_points=16)))) == 100
     assert at_kernel == [28, 56, 84, 100]
+
+
+def test_slack_call_counts(monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(conjecture, "numerical_radius", counted("radius", conjecture.numerical_radius))
+    monkeypatch.setattr(radius, "radius_below", counted("level", radius.radius_below))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    T = np.array([[5 + 7j, 9 + 6j, 1], [5j, 10 + 3j, 2 - 1j], [3, 0, 4j]])
+    exact = half_diff_slack(T)
+    assert counts == {"radius": 2, "svd": 2}
+    # A slack that beats to_beat is computed in full, bitwise as without it.
+    counts.clear()
+    assert half_diff_slack(T, to_beat=exact + 1.0) == exact
+    assert counts == {"radius": 2, "level": 1, "svd": 2}
+    # One that cannot is pruned: no second radius, and a bound between to_beat and the slack.
+    counts.clear()
+    to_beat = exact - 1.0
+    assert to_beat < half_diff_slack(T, to_beat=to_beat) <= exact
+    assert counts == {"radius": 1, "level": 1, "svd": 2}
+
+
+@pytest.mark.parametrize("kind", ["integer-complex", "gaussian-complex", "unit-disc"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_pruned_descent_equals_the_unpruned_run(monkeypatch, dim, kind):
+    spec = EnsembleSpec(kind=kind, dim=dim, count=30, seed=11 + dim)
+    cfg = SweepConfig(grid_points=16)
+    pruned, below = [], radius.radius_below
+    monkeypatch.setattr(radius, "radius_below", lambda T, level: pruned.append(below(T, level)) or pruned[-1])
+    a = conjecture_search(spec, ascend_iters=4, cfg=cfg, keep=2, perturbations=25)
+    monkeypatch.setattr(radius, "radius_below", lambda T, level: False)
+    b = conjecture_search(spec, ascend_iters=4, cfg=cfg, keep=2, perturbations=25)
+    assert a.min_slack.hex() == b.min_slack.hex()
+    assert a.argmin_matrix.tobytes() == b.argmin_matrix.tobytes()
+    assert a.trials == b.trials == 30 + 2 * 4 * 25
+    assert len(pruned) == 200 and any(pruned)
+
+
+def test_descent_makes_fewer_kernel_calls_than_trials(kernel_calls):
+    # Without pruning, each descent trial makes 2 kernel calls.
+    spec = EnsembleSpec(kind="integer-complex", dim=3, count=20, seed=4)
+    cfg = SweepConfig(grid_points=16)
+    conjecture_search(spec, ascend_iters=0, cfg=cfg)
+    scan_and_verify = len(kernel_calls)
+    kernel_calls.clear()
+    result = conjecture_search(spec, ascend_iters=4, cfg=cfg, keep=2, perturbations=50)
+    descent_trials = result.trials - spec.count
+    assert descent_trials == 400
+    assert (len(kernel_calls) - scan_and_verify) / descent_trials < 1.2
+
+
+@pytest.mark.parametrize("knob", [{"keep": 0}, {"keep": -1}, {"perturbations": -5}, {"ascend_iters": -1}])
+def test_search_knobs_out_of_range_raise(knob):
+    spec = EnsembleSpec(kind="integer-complex", dim=2, count=3, seed=1)
+    with pytest.raises(InvalidSpec, match=next(iter(knob))):
+        conjecture_search(spec, **knob)

@@ -597,6 +597,36 @@ def test_level_test_is_never_clear_below_the_radius(n, seed, grid, kind):
     assert clear.tolist() == [False]
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "shift", "rank-one", "S+S"]),
+       scale=st.sampled_from([1.0, 1e150, 1e-150]))
+def test_radius_below_is_never_true_at_or_below_the_radius(n, seed, kind, scale):
+    # w >= omega, so no level <= omega may be certified; the certificate puts
+    # w below omega + margin, so omega + 2 margin must be.
+    T = stack_member(kind, max(n, 2) if kind == "S+S" else n, seed, scale)
+    res = numerical_radius(T)
+    assert res.certified
+    w = res.omega
+    for level in (w, w * (1.0 - 1e-12), w / 2.0, -1.0):
+        assert not radius.radius_below(T, level)
+    assert radius.radius_below(T, w + 2.0 * res.margin)
+
+
+def test_radius_below_is_false_at_a_non_finite_level_or_a_failed_solve(monkeypatch):
+    T = np.array([[1.0, 2.0], [0.0, 1j]])
+    assert radius.radius_below(T, 10.0)
+    for level in (math.inf, -math.inf, math.nan):
+        assert not radius.radius_below(T, level)
+    assert not radius.radius_below(1e-300 * T, 1e300)  # the scaled level overflows
+
+    def failing(*args):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    assert not radius.radius_below(T, 10.0)
+
+
 def ellipse_radius(T):
     """max |z| over the elliptical range of a 2x2 T: W(T) is the ellipse with
     foci lam1, lam2 and minor axis sqrt(tr T*T - |lam1|^2 - |lam2|^2)."""
