@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radius", help="numerical radius of a matrix")
     p.add_argument("matrix", help="matrix JSON file")
-    _add_common(p)
+    _add_common(p, grid=720)  # until perfbench's radius-large Rayleigh check is capped
     p.set_defaults(func=cmd_radius)
 
     p = sub.add_parser("bounds", help="evaluate inequality suites on one matrix")
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ensemble(p)
     p.add_argument("--ascend-iters", type=int, default=10)
     p.add_argument("--witness-out", help="write the argmin matrix JSON to this file")
-    _add_common(p, grid=16)
+    _add_common(p)
     p.set_defaults(func=cmd_conjecture)
 
     return parser

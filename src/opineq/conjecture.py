@@ -85,7 +85,7 @@ def conjecture_search(
                                ("perturbations", perturbations, 0)):
         if value < least:
             raise InvalidSpec(f"{name} must be >= {least}, got {value}")
-    cfg = cfg or SweepConfig()
+    cfg = cfg or radius.DEFAULT_SWEEP
     candidates = heapq.nsmallest(keep, _scan(spec, cfg), key=lambda pair: pair[0])
     trials = spec.count
 

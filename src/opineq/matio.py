@@ -20,7 +20,7 @@ from .linalg import as_matrix
 def complex_to_str(z: complex) -> str:
     re, im = float(np.real(z)), float(np.imag(z))
     sign = "+" if im >= 0 else "-"
-    return f"{re:g}{sign}{abs(im):g}i"
+    return f"{re:.12g}{sign}{abs(im):.12g}i"
 
 
 def _is_number(x) -> bool:

@@ -12,8 +12,9 @@ import pytest
 from opineq import cli, conjecture, inequalities, radius
 from opineq.cli import main
 from opineq.ensembles import sample_matrix, trial_rng
-from opineq.fuzz import MATRIX_SUITE_NAMES, SUITES
-from opineq.matio import load_matrix, save_matrix
+from opineq.fuzz import MATRIX_SUITE_NAMES, SUITES, run_suites
+from opineq.matio import load_matrix, loads_matrix, save_matrix
+from opineq.tables import reproduce_tables
 
 
 @pytest.fixture
@@ -329,10 +330,10 @@ def test_parser_owns_the_defaults():
     sub = _subcommands()
     expected = {
         "radius": {"grid": 720, "format": "csv"},
-        "bounds": {"grid": 720, "seed": 0, "format": "csv"},
-        "tables": {"grid": 720, "format": "csv"},
+        "bounds": {"grid": 16, "seed": 0, "format": "csv"},
+        "tables": {"grid": 16, "format": "csv"},
         "positivity": {"seed": 0, "format": "csv", "samples": None},
-        "fuzz": {"grid": 720, "seed": 1, "format": "csv", "kind": "integer-complex",
+        "fuzz": {"grid": 16, "seed": 1, "format": "csv", "kind": "integer-complex",
                  "int_range": (0, 10)},
         "conjecture": {"grid": 16, "seed": 1, "format": "csv", "kind": "integer-complex",
                        "ascend_iters": 10},
@@ -341,3 +342,55 @@ def test_parser_owns_the_defaults():
     for name, defaults in expected.items():
         got = {dest: sub[name].get_default(dest) for dest in defaults}
         assert got == defaults, name
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12 * (1.0 + abs(b))
+
+
+# The level-set certificate, not the grid, fixes each radius, so the default
+# grid 16 must give every verdict that grid 720 gives.
+FUZZ_BOUNDS_ARGV = ["fuzz", "--suite", "half-diff,implicit,beta-chain,aluthge,block-pair",
+                    "--dim", "6", "--kind", "gaussian-complex", "--count", "12"]
+
+
+@pytest.mark.parametrize("seed", [1, 11, 9001])
+def test_fuzz_grid_16_agrees_with_grid_720(seed):
+    args = cli.build_parser().parse_args([*FUZZ_BOUNDS_ARGV, "--seed", str(seed)])
+    coarse, fine = (run_suites(args.suite, cli._ensemble(args), radius.SweepConfig(g))
+                    for g in (16, 720))
+    counts = ("suite", "trials", "reports", "violations", "hypothesis_unmet", "worst_name")
+    for a, b in zip(coarse, fine, strict=True):
+        assert [getattr(a, c) for c in counts] == [getattr(b, c) for c in counts]
+        assert _close(a.worst_slack, b.worst_slack), (a.suite, a.worst_slack, b.worst_slack)
+
+
+def test_bounds_and_tables_grid_16_agree_with_grid_720(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    save_matrix(sample_matrix(trial_rng(11, 0), "gaussian-complex", 6), path)
+    runs = []
+    for grid in ("16", "720"):
+        main(["bounds", str(path), "--suite", ",".join(MATRIX_SUITE_NAMES), "--format", "json",
+              "--grid", grid])
+        runs.append(json.loads(capsys.readouterr().out))
+    for a, b in zip(*runs, strict=True):
+        assert (a["name"], a["holds"]) == (b["name"], b["holds"])
+        assert all(_close(a[q], b[q]) for q in ("lhs", "rhs", "slack")), a["name"]
+    coarse, fine = reproduce_tables(radius.SweepConfig(16)), reproduce_tables(radius.SweepConfig(720))
+    for ta, tb in zip(coarse, fine, strict=True):
+        for ra, rb in zip(ta.rows, tb.rows, strict=True):
+            assert ra.ok() and rb.ok(), ra.label
+            assert all(_close(ra.computed[c], rb.computed[c]) for c in ta.columns), ra.label
+
+
+def test_radius_witness_reproduces_omega(tmp_path, capsys):
+    # the printed unit witness must give the printed omega far inside its margin
+    path, out = tmp_path / "t.json", tmp_path / "r.csv"
+    T = sample_matrix(trial_rng(3, 0), "gaussian-complex", 5)
+    save_matrix(T, path)
+    assert main(["radius", str(path), "--out", str(out)]) == 0
+    rows = dict(line.split(",", 1) for line in out.read_text().splitlines()[1:])
+    x = loads_matrix(json.dumps({"rows": 5, "cols": 1, "entries": [
+        [rows[f"witness_{k}"]] for k in range(5)]}))[:, 0]
+    omega = float(rows["omega"])
+    assert abs(np.vdot(x, T @ x)) == pytest.approx(omega, rel=1e-10)

@@ -73,6 +73,7 @@ def test_complex_to_str():
     assert complex_to_str(5 + 7j) == "5+7i"
     assert complex_to_str(10 - 3j) == "10-3i"
     assert complex_to_str(0.5) == "0.5+0i"
+    assert complex_to_str(0.1234567890123 - 1e-7j) == "0.123456789012-1e-07i"  # %.12g, as reporting
 
 
 def test_json_is_plain_lists():
