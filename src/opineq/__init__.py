@@ -11,7 +11,6 @@ from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
     HypothesisUnmet,
-    IdentityMismatch,
     InvalidSpec,
     MatrixFormatError,
     NoConvergence,
@@ -64,9 +63,7 @@ from .radius import (
     SweepConfig,
     SweepResult,
     numerical_radius,
-    off_diag_radius,
     rayleigh_radius,
-    sup_theta_norm,
 )
 from .tables import TABLE_TOL, GoldenTable, TableRow, reproduce_tables
 from .transforms import AluthgeResult, PolarFactors, aluthge, generalized_polar, polar

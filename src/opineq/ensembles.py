@@ -68,15 +68,9 @@ def sample_matrix(rng: np.random.Generator, kind: str, dim: int,
         g = rng.normal(size=(2 * dim, 2 * dim)) + 1j * rng.normal(size=(2 * dim, 2 * dim))
         return g.conj().T @ g
     if kind == "unit-disc":
-        return unit_disc_matrix(rng, dim)
+        r = np.sqrt(rng.uniform(size=(dim, dim)))
+        return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(dim, dim)))
     raise InvalidSpec(f"unknown ensemble kind {kind!r}")
-
-
-def unit_disc_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Entries drawn uniformly from the closed unit disc."""
-    r = np.sqrt(rng.uniform(size=(dim, dim)))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=(dim, dim))
-    return r * np.exp(1j * phi)
 
 
 def generate(spec: EnsembleSpec) -> Iterator[np.ndarray]:

@@ -1,12 +1,11 @@
-"""Numerical radius by angle sweep, an independent Rayleigh-ascent cross
-check, and the off-diagonal block radius identity.
+"""Numerical radius by angle sweep, its level-set decision form, and an
+independent Rayleigh-ascent cross check.
 
 The radius is computed from
     w(T) = sup_theta lambda_max(Re(exp(1j*theta) T)),
 where Re(exp(1j*theta) T) = cos(theta) Re T - sin(theta) Im T, so one
 sweep only needs the two Hermitian parts.  The sup over the full circle
 of lambda_max equals the sup of the norm (send theta to theta + pi).
-sup_theta_norm is 2 w of an off-diagonal block, so the kernel solves one problem.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import trial_rng
-from .errors import DimensionMismatch, IdentityMismatch, InvalidSpec
-from .linalg import as_matrix, block2, re_im_parts, spectral_norm
+from .errors import InvalidSpec
+from .linalg import as_matrix, re_im_parts
 
 TWO_PI = 2.0 * math.pi
 # Bisection alone shrinks any bracket below 1e-16 in 55 steps; the cap guards termination.
@@ -38,8 +37,6 @@ __all__ = [
     "numerical_radius",
     "radius_below",
     "rayleigh_radius",
-    "sup_theta_norm",
-    "off_diag_radius",
 ]
 
 
@@ -314,40 +311,3 @@ def rayleigh_radius(T, trials: int = 16, seed: int = 0) -> tuple[float, np.ndarr
             best_x = x
     return float(best_val), _fix_phase(best_x)
 
-
-def _off_diag(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """[[0, X], [Y*, 0]]."""
-    p, q = X.shape
-    return block2(np.zeros((p, p)), X, Y.conj().T, np.zeros((q, q)))
-
-
-def sup_theta_norm(X, Y, cfg: SweepConfig | None = None) -> float:
-    """sup over theta of the spectral norm of X + exp(1j*theta) Y.
-
-    With theta = 2 phi, Re(exp(1j*phi) [[0, Y], [X*, 0]]) is the Hermitian
-    dilation [[0, M], [M*, 0]] of M = exp(-1j*phi) (X + exp(1j*theta) Y) / 2,
-    whose top eigenvalue is ||M||; so the sup is 2 w([[0, Y], [X*, 0]]).
-    """
-    X, Y = as_matrix(X), as_matrix(Y)
-    if X.shape != Y.shape:
-        raise DimensionMismatch(f"shapes {X.shape} and {Y.shape} differ")
-    return 2.0 * numerical_radius(_off_diag(Y, X), cfg).omega
-
-
-def off_diag_radius(X, Y, cfg: SweepConfig | None = None) -> float:
-    """Numerical radius of [[0, X], [Y*, 0]].
-
-    Also evaluates sup_theta ||X + exp(1j*theta) Y|| by sup_theta_norm, a sweep
-    over the adjoint [[0, Y], [X*, 0]], and checks the identity
-        2 w([[0, X], [Y*, 0]]) = sup_theta ||X + exp(1j*theta) Y||
-    to 1e-8 * scale, raising IdentityMismatch on disagreement.
-    """
-    cfg = cfg or DEFAULT_SWEEP
-    sup = sup_theta_norm(X, Y, cfg)
-    omega = numerical_radius(_off_diag(as_matrix(X), as_matrix(Y)), cfg).omega
-    scale = 1.0 + max(spectral_norm(X), spectral_norm(Y))
-    if abs(2.0 * omega - sup) > 1e-8 * scale:
-        raise IdentityMismatch(
-            f"2*w = {2 * omega:.12g} vs sup-norm sweep {sup:.12g} (scale {scale:.3g})"
-        )
-    return omega

@@ -26,7 +26,7 @@ from opineq import (
     spectral_norm,
 )
 from opineq import inequalities
-from opineq.ensembles import trial_rng, unit_disc_matrix
+from opineq.ensembles import sample_matrix, trial_rng
 from opineq.inequalities import BoundReport, PositivityVerdict
 
 
@@ -343,7 +343,7 @@ def test_mixed_schwarz_fuzz():
     for i in range(150):
         rng = trial_rng(12, i)
         n = int(rng.integers(1, 7))
-        T = unit_disc_matrix(rng, n)
+        T = sample_matrix(rng, "unit-disc", n)
         x = random_complex(rng, n, 1).ravel()
         y = random_complex(rng, n, 1).ravel()
         alpha = float(rng.uniform(0, 2))
@@ -380,7 +380,7 @@ def test_half_difference_lower_bounds_hold():
     for i in range(60):
         rng = trial_rng(16, i)
         n = int(rng.integers(1, 5))
-        T = unit_disc_matrix(rng, n)
+        T = sample_matrix(rng, "unit-disc", n)
         reports = {r.name: r for r in half_difference_reports(T)}
         assert all(r.holds for r in reports.values())
 
@@ -389,7 +389,7 @@ def test_abs_difference_norm_bounded_by_sum():
     for i in range(60):
         rng = trial_rng(17, i)
         n = int(rng.integers(1, 6))
-        T = unit_disc_matrix(rng, n)
+        T = sample_matrix(rng, "unit-disc", n)
         absT, absTs = matrix_abs(T), matrix_abs(T.conj().T)
         scale = 1 + spectral_norm(T)
         assert spectral_norm(absT - absTs) <= spectral_norm(absT + absTs) + 1e-9 * scale
@@ -441,8 +441,8 @@ def test_block_pair_fuzz():
     for i in range(60):
         rng = trial_rng(20, i)
         n = int(rng.integers(1, 4))
-        A = unit_disc_matrix(rng, n)
-        B = unit_disc_matrix(rng, n)
+        A = sample_matrix(rng, "unit-disc", n)
+        B = sample_matrix(rng, "unit-disc", n)
         r = block_pair_report(A, B)
         assert r.slack >= -1e-9 * (1 + r.rhs)
 
@@ -469,7 +469,7 @@ def test_radius_upper_fuzz():
     for i in range(80):
         rng = trial_rng(21, i)
         n = int(rng.integers(1, 7))
-        T = unit_disc_matrix(rng, n)
+        T = sample_matrix(rng, "unit-disc", n)
         for r in radius_upper_reports(T):
             assert r.slack >= -1e-8 * (1 + r.rhs)
 
@@ -519,7 +519,7 @@ def test_beta_chain_endpoint_links_fuzz():
     for i in range(60):
         rng = trial_rng(23, i)
         n = int(rng.integers(1, 6))
-        by_name = {r.name: r for r in beta_chain_reports(unit_disc_matrix(rng, n))}
+        by_name = {r.name: r for r in beta_chain_reports(sample_matrix(rng, "unit-disc", n))}
         assert by_name["beta-chain-omegas-le-beta1"].holds
         assert by_name["beta-chain-omegas-le-beta2"].holds
 
@@ -590,7 +590,7 @@ def test_aluthge_bounds_fuzz():
     for i in range(60):
         rng = trial_rng(24, i)
         n = int(rng.integers(1, 5))
-        T = unit_disc_matrix(rng, n)
+        T = sample_matrix(rng, "unit-disc", n)
         for r in aluthge_bound_reports(T):
             assert r.slack >= -1e-8 * (1 + r.rhs)
 

@@ -15,11 +15,9 @@ from opineq import (
     OpineqError,
     SweepConfig,
     numerical_radius,
-    off_diag_radius,
     rayleigh_radius,
     re_im_parts,
     spectral_norm,
-    sup_theta_norm,
 )
 from opineq import radius
 
@@ -41,6 +39,13 @@ def test_radius_golden_values():
     assert numerical_radius([[2, 1], [2, 9]]).omega == pytest.approx(9.30789, abs=5e-4)
     T = np.array([[5 + 7j, 9 + 6j], [5j, 10 + 3j]])
     assert numerical_radius(T).omega == pytest.approx(16.4629, abs=5e-3)
+
+
+def test_off_diag_examples():
+    # off-diagonal blocks: w([[0, 1], [1, 0]]) = 1 and w([[0, X], [0, 0]]) = ||X|| / 2
+    assert numerical_radius([[0, 1], [1, 0]]).omega == pytest.approx(1.0, abs=1e-10)
+    X, Z = random_complex(np.random.default_rng(7), 3), np.zeros((3, 3))
+    assert numerical_radius(np.block([[Z, X], [Z, Z]])).omega == pytest.approx(spectral_norm(X) / 2, abs=1e-9)
 
 
 def test_sweep_result_invariants():
@@ -178,67 +183,21 @@ def test_rayleigh_cross_validates_sweep():
         assert abs(np.vdot(witness, T @ witness)) == pytest.approx(lower, abs=1e-12)
 
 
-def test_off_diag_examples():
-    assert off_diag_radius([[1]], [[1]]) == pytest.approx(1.0, abs=1e-10)
-    rng = np.random.default_rng(7)
-    X = random_complex(rng, 3)
-    assert off_diag_radius(X, np.zeros((3, 3))) == pytest.approx(
-        spectral_norm(X) / 2, abs=1e-9
-    )
-
-
-def test_off_diag_identity_random():
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        X = random_complex(rng, 2)
-        Y = random_complex(rng, 2)
-        # off_diag_radius raises IdentityMismatch internally if the two
-        # routes disagree; reaching here means they matched to 1e-8*scale.
-        omega = off_diag_radius(X, Y)
-        assert 2 * omega == pytest.approx(sup_theta_norm(X, Y), abs=1e-7)
-
-
-def test_sup_theta_norm_against_dense_svd_grid():
-    rng = np.random.default_rng(13)
-    thetas = np.arange(4096) * (2 * math.pi / 4096)
-    for _ in range(20):
-        p, q = (int(k) for k in rng.integers(1, 6, size=2))
-        X = random_complex(rng, p, q)
-        Y = random_complex(rng, p, q)
-        sup = sup_theta_norm(X, Y)
-        M = X[None] + np.exp(1j * thetas)[:, None, None] * Y[None]
-        dense = np.linalg.svd(M, compute_uv=False)[:, 0].max()
-        ny = spectral_norm(Y)
-        scale = 1 + spectral_norm(X) + ny
-        # The top eigenvalue of the dilation has second derivative at
-        # least -||Y||, so the nearest grid angle, at most pi/4096 from
-        # the maximizer, loses at most ||Y|| (pi/4096)^2 / 2.
-        assert dense - 1e-12 * scale <= sup
-        assert sup <= dense + ny * (math.pi / 4096) ** 2 / 2 + 1e-12 * scale
-
-
-def test_off_diag_radius_against_dense_svd_grid():
-    # sup_theta_norm sweeps the adjoint of [[0, X], [Y*, 0]], so the
-    # identity check inside off_diag_radius compares w(T) with w(T*); this
-    # checks 2 w(T) against the norms themselves, with the bound above.
+def test_off_diag_radius_against_dense_svd_grid(off_diag_identity):
     rng = np.random.default_rng(24)
-    thetas = np.arange(4096) * (2 * math.pi / 4096)
+    for _ in range(20):
+        p, q = (int(k) for k in rng.integers(1, 6, size=2))
+        off_diag_identity(random_complex(rng, p, q), random_complex(rng, p, q))
+
+
+def test_sup_theta_norm_against_dense_svd_grid(off_diag_identity):
+    # both [[0, X], [Y*, 0]] and its adjoint [[0, Y], [X*, 0]], as w(T*) = w(T)
+    rng = np.random.default_rng(13)
     for _ in range(20):
         p, q = (int(k) for k in rng.integers(1, 6, size=2))
         X = random_complex(rng, p, q)
         Y = random_complex(rng, p, q)
-        two_w = 2 * off_diag_radius(X, Y)
-        M = X[None] + np.exp(1j * thetas)[:, None, None] * Y[None]
-        dense = np.linalg.svd(M, compute_uv=False)[:, 0].max()
-        ny = spectral_norm(Y)
-        scale = 1 + spectral_norm(X) + ny
-        assert dense - 1e-12 * scale <= two_w
-        assert two_w <= dense + ny * (math.pi / 4096) ** 2 / 2 + 1e-12 * scale
-
-
-def test_off_diag_shape_check():
-    with pytest.raises(DimensionMismatch):
-        off_diag_radius(np.eye(2), np.eye(3))
+        assert off_diag_identity(X, Y).omega == pytest.approx(off_diag_identity(Y, X).omega, rel=1e-12)
 
 
 def test_sweep_config_validation():
@@ -389,10 +348,9 @@ def test_each_matrix_of_a_stack_refines_one_bracket_at_its_grid_maximum(monkeypa
         assert {i: picks[i] for i in ties} == ties
 
 
-def test_even_grids_solve_half_the_circle_also_for_sup_theta_norm(monkeypatch):
+def test_even_grids_solve_half_the_circle(monkeypatch):
     # Re(exp(1j*(theta + pi)) T) = -Re(exp(1j*theta) T): a radius call on an
-    # even grid solves the angles in [0, pi) only, and so does
-    # sup_theta_norm, which is one radius call.  An odd grid solves every angle.
+    # even grid solves the angles in [0, pi) only.  An odd grid solves every angle.
     eigvalsh, grids = np.linalg.eigvalsh, []
 
     def counting(M):
@@ -406,10 +364,6 @@ def test_even_grids_solve_half_the_circle_also_for_sup_theta_norm(monkeypatch):
     for grid, solved in ((16, 8), (720, 360), (9, 9)):
         grids.clear()
         numerical_radius(T, SweepConfig(grid_points=grid))
-        assert grids == [(1, solved)]
-    for grid, solved in ((16, 8), (9, 9)):
-        grids.clear()
-        sup_theta_norm(T, random_complex(rng, 3), SweepConfig(grid_points=grid))
         assert grids == [(1, solved)]
 
 
@@ -532,14 +486,14 @@ def test_subnormal_scale_is_certified_and_homogeneous():
         assert res.omega == c * w
 
 
-def test_sup_theta_norm_and_off_diag_radius_are_certified(sweeps):
+def test_off_diag_blocks_are_certified(sweeps):
     rng = np.random.default_rng(17)
+    Z = np.zeros((3, 3))
     for _ in range(20):
         X, Y = random_complex(rng, 3), random_complex(rng, 3)
-        sup_theta_norm(X, Y)
-        off_diag_radius(X, Y)
-    # each off_diag_radius runs one sup_theta_norm sweep and one radius sweep
-    assert len(sweeps) == 60
+        numerical_radius(np.block([[Z, X], [Y.conj().T, Z]]))
+        numerical_radius(np.block([[Z, Y], [X.conj().T, Z]]))
+    assert len(sweeps) == 40
     assert all(r.certified and r.margin <= 1e-8 * r.omega for r in sweeps)
 
 
