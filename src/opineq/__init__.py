@@ -21,7 +21,7 @@ from .errors import (
     OpineqError,
     UnknownSuite,
 )
-from .fuzz import SUITE_NAMES, SuiteSummary, run_suite, run_suites
+from .fuzz import SUITE_NAMES, SuiteSummary, run_suites
 from .inequalities import (
     BoundReport,
     PositivityVerdict,

@@ -22,6 +22,11 @@ from .radius import SweepConfig, numerical_radius, radius_memo
 from .reporting import render_table, reports_json, reports_table
 from .tables import HALF_DIFF_ROWS, TABLE_TOL, reproduce_tables
 
+# `radius` starts from 720 grid points, not radius.DEFAULT_SWEEP's 16: the benchmark's
+# radius-large workload checks each query with an ~80 ms Rayleigh ascent, and faster
+# grid-16 queries would queue more checking than its DEADLINE_S allows (ROADMAP 1, 3).
+RADIUS_SWEEP = SweepConfig(720)
+
 
 def _suite_list(text: str) -> list[str]:
     """Parse a comma-separated --suite value; naming no suite is an error."""
@@ -49,7 +54,7 @@ def _ensemble(args) -> EnsembleSpec:
 
 
 def cmd_radius(args) -> int:
-    result = numerical_radius(load_matrix(args.matrix), SweepConfig(args.grid))
+    result = numerical_radius(load_matrix(args.matrix), RADIUS_SWEEP)
     rows = [(q, getattr(result, q)) for q in ("omega", "theta_star", "certified", "margin")]
     rows += [(f"witness_{k}", complex_to_str(z)) for k, z in enumerate(result.witness)]
     _emit_quantities(rows, args)
@@ -58,7 +63,6 @@ def cmd_radius(args) -> int:
 
 def cmd_bounds(args) -> int:
     T = load_matrix(args.matrix)
-    cfg = SweepConfig(args.grid)
     unknown = [s for s in args.suite if s not in MATRIX_SUITE_NAMES]
     if unknown:
         raise OpineqError(f"suite {unknown[0]!r} is not available here; choose from "
@@ -66,7 +70,7 @@ def cmd_bounds(args) -> int:
     with radius_memo():
         # every suite that samples vectors draws them from stream (seed, 0)
         reports = [r for s in args.suite
-                   for r in SUITES[s].on_matrix(T, trial_rng(args.seed, 0), cfg)]
+                   for r in SUITES[s].on_matrix(T, trial_rng(args.seed, 0))]
     if args.format == "json":
         _emit(reports_json(reports) + "\n", args.out)
     else:
@@ -75,7 +79,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    tables = reproduce_tables(SweepConfig(args.grid))
+    tables = reproduce_tables()
     all_ok = all(r.ok() for table in tables for r in table.rows)
     for table in tables:
         columns = ["row", *(n for c in table.columns for n in (c, f"{c}_ref")), "max_error", "ok"]
@@ -101,7 +105,7 @@ def cmd_positivity(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    summaries = run_suites(args.suite, _ensemble(args), SweepConfig(args.grid))
+    summaries = run_suites(args.suite, _ensemble(args))
     columns = ("suite", "trials", "reports", "violations", "hypothesis_unmet", "worst_slack")
     rows = [(*(getattr(s, c) for c in columns), s.worst_name or "") for s in summaries]
     _emit(render_table((*columns, "worst_name"), rows, args.format), args.out)
@@ -109,13 +113,12 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    spec, cfg = _ensemble(args), SweepConfig(args.grid)
-    result = conjecture_search(spec, ascend_iters=args.ascend_iters, cfg=cfg)
+    result = conjecture_search(_ensemble(args), ascend_iters=args.ascend_iters)
     rows = [(q, getattr(result, q)) for q in ("min_slack", "trials", "violated", "certified")]
     # Reference slacks on the golden half-diff table rows, as a calibration
     # check that the searched quantity is computed correctly.
     for label, T, (half_diff_ref, radius_ref) in HALF_DIFF_ROWS:
-        rows += [(f"golden_slack_{label}", half_diff_slack(T, cfg)),
+        rows += [(f"golden_slack_{label}", half_diff_slack(T)),
                  (f"golden_slack_{label}_ref", radius_ref - half_diff_ref)]
     _emit_quantities(rows, args)
     if args.witness_out or result.violated:
@@ -123,12 +126,8 @@ def cmd_conjecture(args) -> int:
     return 1 if result.violated else 0
 
 
-def _add_common(p, grid=SweepConfig.grid_points, seed=None, formats=("csv", "md"),
-                out_help="write output to this file") -> None:
-    """--grid (unless grid is None), --seed (if seed is given), --format and --out."""
-    if grid is not None:
-        p.add_argument("--grid", type=int, default=grid,
-                       help="sweep grid points (default %(default)s)")
+def _add_common(p, seed=None, formats=("csv", "md"), out_help="write output to this file") -> None:
+    """--seed (if seed is given), --format and --out."""
     if seed is not None:
         p.add_argument("--seed", type=int, default=seed, help="seed for sampled vectors")
     p.add_argument("--format", choices=formats, default="csv")
@@ -149,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radius", help="numerical radius of a matrix")
     p.add_argument("matrix", help="matrix JSON file")
-    _add_common(p, grid=720)  # until perfbench's radius-large Rayleigh check is capped
+    _add_common(p)
     p.set_defaults(func=cmd_radius)
 
     p = sub.add_parser("bounds", help="evaluate inequality suites on one matrix")
@@ -167,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("A", "B", "C"):
         p.add_argument(name)
     p.add_argument("--samples", type=int)
-    _add_common(p, grid=None, seed=0)
+    _add_common(p, seed=0)
     p.set_defaults(func=cmd_positivity)
 
     p = sub.add_parser("fuzz", help="run inequality suites over a random ensemble")

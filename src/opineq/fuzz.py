@@ -29,11 +29,11 @@ from .inequalities import (
     radius_upper_reports,
 )
 from .linalg import spectral_norm, split2
-from .radius import SweepConfig, radius_memo
+from .radius import radius_memo
 
 MIXED_SCHWARZ_ALPHAS = tuple(0.25 * k for k in range(9))
 
-__all__ = ["SUITE_NAMES", "MATRIX_SUITE_NAMES", "SuiteSummary", "run_suite", "run_suites"]
+__all__ = ["SUITE_NAMES", "MATRIX_SUITE_NAMES", "SuiteSummary", "run_suites"]
 
 
 @dataclass
@@ -85,26 +85,26 @@ def _nonpsd_blocks(rng, dim):
 def _single_matrix_suite(on_matrix):
     """A suite whose input is one square matrix T, drawn per trial.
 
-    ``on_matrix(T, rng, cfg)`` gives the reports for T; it is kept as the
+    ``on_matrix(T, rng)`` gives the reports for T; it is kept as the
     suite's ``on_matrix`` attribute so that ``opineq bounds`` runs the
     same rule on a given matrix.
     """
 
-    def run(rng, spec: EnsembleSpec, index: int, cfg):
+    def run(rng, spec: EnsembleSpec, index: int):
         T = sample_matrix(rng, spec.kind, spec.dim, spec.int_range)
-        return on_matrix(T, rng, cfg), {"T": T}
+        return on_matrix(T, rng), {"T": T}
 
     run.on_matrix = on_matrix
     return run
 
 
-def _suite_block_pair(rng, spec, index, cfg):
+def _suite_block_pair(rng, spec, index):
     A = sample_matrix(rng, spec.kind, spec.dim, spec.int_range)
     B = sample_matrix(rng, spec.kind, spec.dim, spec.int_range)
-    return [block_pair_report(A, B, cfg)], {"A": A, "B": B}
+    return [block_pair_report(A, B)], {"A": A, "B": B}
 
 
-def _mixed_schwarz_reports(T, rng, cfg):
+def _mixed_schwarz_reports(T, rng):
     """mixed_schwarz at every alpha in MIXED_SCHWARZ_ALPHAS, for unit x and
     then unit y drawn from rng."""
     x = _unit(rng, T.shape[1])
@@ -112,12 +112,12 @@ def _mixed_schwarz_reports(T, rng, cfg):
     return [mixed_schwarz(T, x, y, a) for a in MIXED_SCHWARZ_ALPHAS]
 
 
-def _suite_corner(rng, spec, index, cfg):
+def _suite_corner(rng, spec, index):
     A, B, C = _gram_blocks(rng, spec.dim, spec.kind, spec.int_range)
     return [corner_norm_report(A, B, C)], {"A": A, "B": B, "C": C}
 
 
-def _suite_compression(rng, spec, index, cfg):
+def _suite_compression(rng, spec, index):
     if index % 2 == 0 or spec.dim == 1:
         A, B, C = _gram_blocks(rng, spec.dim, spec.kind, spec.int_range)
     else:
@@ -135,7 +135,7 @@ def _suite_compression(rng, spec, index, cfg):
     return [compression_bound_report(A, B, C)], {"A": A, "B": B, "C": C}
 
 
-def _suite_majorization(rng, spec, index, cfg):
+def _suite_majorization(rng, spec, index):
     S = sample_matrix(rng, spec.kind, spec.dim, spec.int_range)
     if index % 2 == 0:
         # contraction construction: T T* <= S S* holds by design
@@ -147,7 +147,7 @@ def _suite_majorization(rng, spec, index, cfg):
     return [one, two], {"T": T, "S": S}
 
 
-def _suite_positivity(rng, spec, index, cfg):
+def _suite_positivity(rng, spec, index):
     """Alternate PSD and non-PSD blocks; encode the three-route agreement as
     reports so violations surface like any other suite."""
     if index % 2 == 0:
@@ -183,11 +183,11 @@ def _suite_positivity(rng, spec, index, cfg):
 # The only suite dispatch: `fuzz` calls every suite, `bounds` the
 # ``on_matrix`` rule of the single-matrix ones.
 SUITES = {
-    "half-diff": _single_matrix_suite(lambda T, rng, cfg: half_difference_reports(T, cfg)),
+    "half-diff": _single_matrix_suite(lambda T, rng: half_difference_reports(T)),
     "block-pair": _suite_block_pair,
-    "implicit": _single_matrix_suite(lambda T, rng, cfg: radius_upper_reports(T, cfg)),
-    "beta-chain": _single_matrix_suite(lambda T, rng, cfg: beta_chain_reports(T, cfg)),
-    "aluthge": _single_matrix_suite(lambda T, rng, cfg: aluthge_bound_reports(T, cfg)),
+    "implicit": _single_matrix_suite(lambda T, rng: radius_upper_reports(T)),
+    "beta-chain": _single_matrix_suite(lambda T, rng: beta_chain_reports(T)),
+    "aluthge": _single_matrix_suite(lambda T, rng: aluthge_bound_reports(T)),
     "mixed-schwarz": _single_matrix_suite(_mixed_schwarz_reports),
     "corner": _suite_corner,
     "compression": _suite_compression,
@@ -199,11 +199,7 @@ SUITE_NAMES = tuple(SUITES)
 MATRIX_SUITE_NAMES = tuple(name for name, suite in SUITES.items() if hasattr(suite, "on_matrix"))
 
 
-def run_suite(name: str, spec: EnsembleSpec, cfg: SweepConfig | None = None) -> SuiteSummary:
-    return run_suites([name], spec, cfg)[0]
-
-
-def run_suites(names, spec: EnsembleSpec, cfg: SweepConfig | None = None) -> list[SuiteSummary]:
+def run_suites(names, spec: EnsembleSpec) -> list[SuiteSummary]:
     """One summary per named suite, index-major: the suites of one ensemble
     index run in one ``radius_memo`` block, so they share each radius."""
     names = list(names)
@@ -215,7 +211,7 @@ def run_suites(names, spec: EnsembleSpec, cfg: SweepConfig | None = None) -> lis
         with radius_memo():
             for s in summaries:
                 try:
-                    reports, inputs = SUITES[s.suite](trial_rng(spec.seed, i), spec, i, cfg)
+                    reports, inputs = SUITES[s.suite](trial_rng(spec.seed, i), spec, i)
                 except HypothesisUnmet:
                     s.hypothesis_unmet += 1
                     continue

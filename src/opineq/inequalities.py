@@ -38,7 +38,7 @@ from .linalg import (
     re_im_parts,
     spectral_norm,
 )
-from .radius import SweepConfig, numerical_radius
+from .radius import numerical_radius
 from .transforms import aluthge, polar
 
 __all__ = [
@@ -131,8 +131,8 @@ class PositivityVerdict:
         return self.condition_ii_max_ratio > 1.0 or self.schur_residual < -self.psd_tol
 
 
-def _omega(T, cfg: SweepConfig | None) -> float:
-    return numerical_radius(T, cfg).omega
+def _omega(T) -> float:
+    return numerical_radius(T).omega
 
 
 def _unit_scale(M: np.ndarray) -> float:
@@ -370,10 +370,10 @@ def _abs_pair(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return matrix_abs(T), matrix_abs(T.conj().T)
 
 
-def _sum_diff_omega(T: np.ndarray, cfg: SweepConfig | None) -> tuple[float, float, float]:
+def _sum_diff_omega(T: np.ndarray) -> tuple[float, float, float]:
     """s = ||(|T|+|T*|)||, d = ||(|T|-|T*|)|| and w(T)."""
     absT, absTs = _abs_pair(T)
-    return spectral_norm(absT + absTs), spectral_norm(absT - absTs), _omega(T, cfg)
+    return spectral_norm(absT + absTs), spectral_norm(absT - absTs), _omega(T)
 
 
 def _half_diff_matrices(T) -> dict[str, np.ndarray]:
@@ -390,19 +390,19 @@ def _half_diff_matrices(T) -> dict[str, np.ndarray]:
     }
 
 
-def _half_diff_omegas(T: np.ndarray, cfg: SweepConfig | None) -> dict[str, float]:
+def _half_diff_omegas(T: np.ndarray) -> dict[str, float]:
     """The numerical radii of the four half-difference matrices."""
-    return {key: _omega(M, cfg) for key, M in _half_diff_matrices(T).items()}
+    return {key: _omega(M) for key, M in _half_diff_matrices(T).items()}
 
 
-def half_difference_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport]:
+def half_difference_reports(T) -> list[BoundReport]:
     """w((|T|-|T*|)/2 +/- i Re T) and the Im variants against
     ||(|T|+|T*|)|| / 2, plus the ||Re T|| and ||Im T|| lower bounds."""
     T = as_matrix(T)
     absT, absTs = _abs_pair(T)
     rhs = spectral_norm(absT + absTs) / 2.0
     reT, imT = re_im_parts(T)
-    omegas = _half_diff_omegas(T, cfg)
+    omegas = _half_diff_omegas(T)
     return [
         *(BoundReport(name=f"half-diff-{key}", lhs=val, rhs=rhs) for key, val in omegas.items()),
         BoundReport(name="half-diff-lower-re", lhs=spectral_norm(reT), rhs=omegas["plus-re"]),
@@ -410,7 +410,7 @@ def half_difference_reports(T, cfg: SweepConfig | None = None) -> list[BoundRepo
     ]
 
 
-def block_pair_report(A, B, cfg: SweepConfig | None = None) -> BoundReport:
+def block_pair_report(A, B) -> BoundReport:
     """w(P) <= max(||(|A|+|B|)||, ||(|A*|+|B*|)||), P = [[|B*|-|A*|, A-B], [-(A-B)*, |A|-|B|]].
 
     The paired block [[|B*|-|A*|, B-A], [(A-B)*, |A|-|B|]] is D P D for the
@@ -421,19 +421,19 @@ def block_pair_report(A, B, cfg: SweepConfig | None = None) -> BoundReport:
         raise DimensionMismatch("A and B must be square matrices of equal size")
     (absA, absAs), (absB, absBs) = _abs_pair(A), _abs_pair(B)
     d = A - B
-    lhs = _omega(np.block([[absBs - absAs, d], [-d.conj().T, absA - absB]]), cfg)
+    lhs = _omega(np.block([[absBs - absAs, d], [-d.conj().T, absA - absB]]))
     rhs = max(spectral_norm(absA + absB), spectral_norm(absAs + absBs))
     return BoundReport(name="block-pair", lhs=lhs, rhs=rhs)
 
 
-def radius_upper_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport]:
+def radius_upper_reports(T) -> list[BoundReport]:
     """Two upper bounds on w(T) from one radius evaluation.
 
     The implicit bound  w <= s/4 + sqrt(w^2 + d^2/4)/2  with
     s = ||(|T|+|T*|)||, d = ||(|T|-|T*|)||, and the half-sum bound
     w <= s/2.  Neither dominates the other.
     """
-    s, d, omega = _sum_diff_omega(as_matrix(T), cfg)
+    s, d, omega = _sum_diff_omega(as_matrix(T))
     implicit = s / 4.0 + 0.5 * math.hypot(omega, d / 2.0)
     return [
         BoundReport(name="implicit-radius-bound", lhs=omega, rhs=implicit),
@@ -441,7 +441,7 @@ def radius_upper_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport]
     ]
 
 
-def beta_chain_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport]:
+def beta_chain_reports(T) -> list[BoundReport]:
     """Three links between the four half-difference radii, beta1 and beta2,
     where beta1 = (s + sqrt(d^2 + 4 w^2))/4 and beta2 = (||T|| + w)/2.
 
@@ -451,10 +451,10 @@ def beta_chain_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport]:
     one has s = 2, d = 1, w = ||T|| = 1, so beta1 = (2 + sqrt 5)/4 > 1 = beta2.
     """
     T = as_matrix(T)
-    s, d, omega = _sum_diff_omega(T, cfg)
+    s, d, omega = _sum_diff_omega(T)
     beta1 = (s + math.hypot(d, 2.0 * omega)) / 4.0
     beta2 = (spectral_norm(T) + omega) / 2.0
-    lhs = max(_half_diff_omegas(T, cfg).values())
+    lhs = max(_half_diff_omegas(T).values())
     return [
         BoundReport(name="beta-chain-omegas-le-beta1", lhs=lhs, rhs=beta1),
         BoundReport(name="beta-chain-beta1-le-beta2", lhs=beta1, rhs=beta2),
@@ -462,7 +462,7 @@ def beta_chain_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport]:
     ]
 
 
-def aluthge_bound_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport]:
+def aluthge_bound_reports(T) -> list[BoundReport]:
     """Radius bounds through the Aluthge transform t = |T|^(1/2) U |T|^(1/2).
 
     With base = || |T|^2 + (|t|^2 + |t*|^2)/4 || and
@@ -483,10 +483,10 @@ def aluthge_bound_reports(T, cfg: SweepConfig | None = None) -> list[BoundReport
     cross = absT @ tilde + tilde @ absT
     zero = np.zeros_like(tilde)
     corner_block = np.block([[zero, cross], [tilde_star @ tilde_star / 2.0, zero]])
-    bound1 = 0.5 * math.sqrt(base + 2.0 * _omega(corner_block, cfg)) / p
-    bound2 = 0.5 * math.sqrt(base + _omega(cross, cfg) + 0.5 * _omega(tilde @ tilde, cfg)) / p
-    omega = _omega(T, cfg)
-    mean_bound = 0.5 * (spectral_norm(T) + _omega(tilde, cfg) / p)
+    bound1 = 0.5 * math.sqrt(base + 2.0 * _omega(corner_block)) / p
+    bound2 = 0.5 * math.sqrt(base + _omega(cross) + 0.5 * _omega(tilde @ tilde)) / p
+    omega = _omega(T)
+    mean_bound = 0.5 * (spectral_norm(T) + _omega(tilde) / p)
     return [
         BoundReport(name="aluthge-bound-1", lhs=omega, rhs=bound1),
         BoundReport(name="aluthge-bound-2", lhs=omega, rhs=bound2),

@@ -257,7 +257,8 @@ def radius_memo():
 
 
 def numerical_radius(T, cfg: SweepConfig | None = None) -> SweepResult:
-    """Numerical radius by grid sweep, Newton refinement and the level-set certificate."""
+    """Numerical radius by grid sweep, Newton refinement and the level-set certificate;
+    ``cfg`` (default DEFAULT_SWEEP) stays for `opineq radius`'s 720-point start and re-scoring."""
     cfg = cfg or DEFAULT_SWEEP
     memo = _MEMO.get()
     if memo is not None:

@@ -21,7 +21,7 @@ from .inequalities import (
     beta_chain_reports,
     radius_upper_reports,
 )
-from .radius import SweepConfig, numerical_radius
+from .radius import numerical_radius
 
 TABLE_TOL = 5e-3
 
@@ -86,34 +86,34 @@ _MEAN_ROWS = (
 )
 
 
-def _named(report_fn, T, cfg) -> dict[str, BoundReport]:
-    return {r.name: r for r in report_fn(T, cfg)}
+def _named(report_fn, T) -> dict[str, BoundReport]:
+    return {r.name: r for r in report_fn(T)}
 
 
-def _half_diff_columns(T, cfg):
+def _half_diff_columns(T):
     plus_re = _half_diff_matrices(T)["plus-re"]
-    return numerical_radius(plus_re, cfg).omega, numerical_radius(T, cfg).omega
+    return numerical_radius(plus_re).omega, numerical_radius(T).omega
 
 
-def _upper_columns(T, cfg):
-    up = _named(radius_upper_reports, T, cfg)
+def _upper_columns(T):
+    up = _named(radius_upper_reports, T)
     return up["implicit-radius-bound"].lhs, up["implicit-radius-bound"].rhs, up["abs-sum-half-bound"].rhs
 
 
-def _aluthge_columns(T, cfg):
-    al, up = _named(aluthge_bound_reports, T, cfg), _named(radius_upper_reports, T, cfg)
+def _aluthge_columns(T):
+    al, up = _named(aluthge_bound_reports, T), _named(radius_upper_reports, T)
     return al["aluthge-bound-1"].rhs, al["aluthge-bound-2"].rhs, up["abs-sum-half-bound"].rhs
 
 
-def _aluthge_mean_columns(T, cfg):
-    al, beta = _named(aluthge_bound_reports, T, cfg), _named(beta_chain_reports, T, cfg)
+def _aluthge_mean_columns(T):
+    al, beta = _named(aluthge_bound_reports, T), _named(beta_chain_reports, T)
     return al["aluthge-bound-1"].rhs, al["aluthge-bound-2"].rhs, beta["beta-chain-beta1-le-beta2"].rhs
 
 
 _UPPER_COLUMNS = ("radius", "implicit_bound", "abs_sum_half")
 _ALUTHGE_COLUMNS = ("aluthge_bound_1", "aluthge_bound_2")
 
-# (name, columns, rows, column function): the function maps (T, cfg) to the
+# (name, columns, rows, column function): the function maps T to the
 # row's values in column order.  norm_radius_mean is beta2 = (||T|| + w(T))/2.
 _TABLES = (
     ("half-diff-vs-radius", ("half_diff_re_radius", "radius"), HALF_DIFF_ROWS, _half_diff_columns),
@@ -124,10 +124,10 @@ _TABLES = (
 )
 
 
-def reproduce_tables(cfg: SweepConfig | None = None) -> list[GoldenTable]:
+def reproduce_tables() -> list[GoldenTable]:
     return [
         GoldenTable(name, cols, tuple(
-            TableRow(label, T, dict(zip(cols, fn(T, cfg))), dict(zip(cols, ref)))
+            TableRow(label, T, dict(zip(cols, fn(T))), dict(zip(cols, ref)))
             for label, T, ref in rows
         ))
         for name, cols, rows, fn in _TABLES

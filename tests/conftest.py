@@ -4,7 +4,8 @@ Every radius sweep that a test runs, directly or through the CLI, must
 carry the level-set certificate: the autouse ``sweeps`` fixture records
 the result of every matrix of every sweep-kernel call, stacked calls
 included, and fails the test if one is uncertified.  ``kernel_calls``
-counts the sweep-kernel calls themselves.  ``off_diag_identity`` checks
+counts the sweep-kernel calls themselves and ``kernel_grids`` records the
+grid of each.  ``off_diag_identity`` checks
 the off-diagonal block identity against a dense SVD sweep.
 """
 
@@ -47,6 +48,20 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(radius, "_max_on_circle", counting)
     return calls
+
+
+@pytest.fixture
+def kernel_grids(monkeypatch):
+    """Grid points of the sweep-kernel calls made during the test, one entry per call."""
+    grids = []
+    kernel = radius._max_on_circle
+
+    def recording(T, cfg):
+        grids.append(cfg.grid_points)
+        return kernel(T, cfg)
+
+    monkeypatch.setattr(radius, "_max_on_circle", recording)
+    return grids
 
 
 @pytest.fixture

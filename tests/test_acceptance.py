@@ -18,7 +18,6 @@ import pytest
 
 from opineq import (
     EnsembleSpec,
-    SweepConfig,
     aluthge_bound_reports,
     beta_chain_reports,
     block_pair_report,
@@ -310,17 +309,15 @@ def test_criterion_4_structural_identities(off_diag_identity):
 
 def test_criterion_5_conjecture_campaign():
     t0 = time.perf_counter()
-    cfg = SweepConfig(grid_points=240)
-
     results = {}
     for dim in (2, 3):
         spec = EnsembleSpec(kind="integer-complex", dim=dim, count=10000, seed=1)
-        results[dim] = conjecture_search(spec, ascend_iters=10, cfg=cfg)
+        results[dim] = conjecture_search(spec, ascend_iters=10)
 
     # deterministic under a fixed seed
     small = EnsembleSpec(kind="integer-complex", dim=2, count=50, seed=7)
-    a = conjecture_search(small, ascend_iters=2, cfg=cfg, keep=2, perturbations=10)
-    b = conjecture_search(small, ascend_iters=2, cfg=cfg, keep=2, perturbations=10)
+    a = conjecture_search(small, ascend_iters=2, keep=2, perturbations=10)
+    b = conjecture_search(small, ascend_iters=2, keep=2, perturbations=10)
     assert a.min_slack == b.min_slack
     np.testing.assert_array_equal(a.argmin_matrix, b.argmin_matrix)
 

@@ -77,7 +77,7 @@ def test_bounds_runs_the_registry_rules(matrix_file, capsys):
     T = load_matrix(matrix_file)
     expected = []
     for name in MATRIX_SUITE_NAMES:
-        expected += SUITES[name].on_matrix(T, trial_rng(5, 0), None)
+        expected += SUITES[name].on_matrix(T, trial_rng(5, 0))
     assert got == [r.to_json_dict() for r in expected]
 
 
@@ -88,9 +88,9 @@ def test_bounds_computes_each_radius_once(tmp_path, capsys, monkeypatch, kernel_
     api = []
     radius_call = inequalities.numerical_radius
 
-    def counting(T, cfg=None):
+    def counting(T):
         api.append(1)
-        return radius_call(T, cfg)
+        return radius_call(T)
 
     monkeypatch.setattr(inequalities, "numerical_radius", counting)
     assert main(["bounds", str(path), "--suite", "half-diff,implicit,beta-chain,aluthge"]) in (0, 1)
@@ -160,37 +160,41 @@ def test_conjecture_command(capsys):
     assert "golden_slack_hd-1," in out
 
 
-@pytest.mark.parametrize("argv, grid", [([], 16), (["--grid", "24"], 24)])
-def test_conjecture_scores_every_slack_at_the_campaign_grid(monkeypatch, capsys, argv, grid):
-    # The golden calibration rows and the descent both call half_diff_slack;
-    # every call must run at the grid the campaign itself uses.
+def test_conjecture_scores_every_slack_at_the_campaign_grid(monkeypatch, capsys):
+    # The golden calibration rows and the descent both call half_diff_slack,
+    # and none passes a grid: every call runs at the campaign's DEFAULT_SWEEP.
     grids = []
     slack = conjecture.half_diff_slack
 
     def recording(T, cfg=None, **kwargs):
-        grids.append(None if cfg is None else cfg.grid_points)
+        grids.append(cfg)
         return slack(T, cfg, **kwargs)
 
     monkeypatch.setattr(cli, "half_diff_slack", recording)
     monkeypatch.setattr(conjecture, "half_diff_slack", recording)
-    assert main(["conjecture", "--dim", "2", "--count", "6", "--ascend-iters", "1", *argv]) == 0
+    assert main(["conjecture", "--dim", "2", "--count", "6", "--ascend-iters", "1"]) == 0
     capsys.readouterr()
     golden = len(cli.HALF_DIFF_ROWS)
     assert len(grids) == 5 * 50 + golden
-    assert set(grids) == {grid}
+    assert set(grids) == {None}
 
 
-def test_conjecture_runs_on_the_coarse_certified_grid(monkeypatch, capsys):
-    grids = []
-    search = cli.conjecture_search
-    monkeypatch.setattr(cli, "conjecture_search",
-                        lambda spec, **kw: grids.append(kw["cfg"].grid_points) or search(spec, **kw))
-    assert main(["conjecture", "--dim", "2", "--count", "20"]) == 0
-    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.strip().split("\r\n")[1:])
-    assert grids == [16]
-    assert rows["certified"] == "true" and rows["violated"] == "false"
-    assert main(["conjecture", "--help"]) == 0
-    assert "(default 16)" in " ".join(capsys.readouterr().out.split())
+@pytest.mark.parametrize("command", ["radius", "bounds", "tables", "fuzz", "conjecture"])
+def test_subcommands_sweep_only_their_one_grid(monkeypatch, capsys, matrix_file, kernel_grids, command):
+    # A grid of 24 for the library default shows any call that does not read it.
+    monkeypatch.setattr(radius, "DEFAULT_SWEEP", radius.SweepConfig(24))
+    argv = {
+        "radius": [matrix_file],
+        "bounds": [matrix_file, "--suite", ",".join(MATRIX_SUITE_NAMES)],
+        "tables": [],
+        "fuzz": ["--suite", "half-diff,block-pair,implicit,beta-chain,aluthge", "--dim", "2",
+                 "--count", "3"],
+        "conjecture": ["--dim", "2", "--count", "20", "--ascend-iters", "1"],
+    }[command]
+    assert main([command, *argv]) == 0
+    capsys.readouterr()
+    expected = cli.RADIUS_SWEEP if command == "radius" else radius.DEFAULT_SWEEP
+    assert kernel_grids and set(kernel_grids) == {expected.grid_points}
 
 
 def test_fuzz_gram_kind_majorization_runs(capsys):
@@ -235,13 +239,13 @@ def test_input_errors(tmp_path, capsys):
     assert main(["fuzz", "--suite", "nope", "--dim", "2", "--count", "2"]) == 2
     good = tmp_path / "good.json"
     save_matrix(np.eye(2), good)
-    # a zero grid is invalid, not a request for the default
-    assert main(["radius", str(good), "--grid", "0"]) == 2
-    # the angle tolerance is fixed; --tol is no option
+    # the angle tolerance and the sweep grid are fixed; --tol and --grid are no options
     for cmd in (["radius", str(good)], ["bounds", str(good), "--suite", "implicit"], ["tables"],
-                ["fuzz", "--suite", "implicit", "--dim", "2", "--count", "1"]):
+                ["positivity", str(good), str(good), str(good)],
+                ["fuzz", "--suite", "implicit", "--dim", "2", "--count", "1"],
+                ["conjecture", "--dim", "2", "--count", "1"]):
         assert main([*cmd, "--tol", "1e-11"]) == 2
-    assert main(["conjecture", "--dim", "2", "--count", "1", "--grid", "0"]) == 2
+        assert main([*cmd, "--grid", "16"]) == 2
     # a negative descent count is invalid, not a request for no descent
     assert main(["conjecture", "--dim", "2", "--count", "2", "--ascend-iters", "-1"]) == 2
     # a suite list that names no suite
@@ -306,7 +310,7 @@ def test_memory_exhaustion_is_an_input_error(matrix_file, capsys, monkeypatch):
         raise MemoryError("cannot allocate the grid")
 
     monkeypatch.setattr(cli, "numerical_radius", exhausted)
-    assert main(["radius", matrix_file, "--grid", "400000000"]) == 2
+    assert main(["radius", matrix_file]) == 2
     assert capsys.readouterr().err == "error: cannot allocate the grid\n"
 
 
@@ -329,13 +333,13 @@ def test_readme_synopsis_names_every_option():
 def test_parser_owns_the_defaults():
     sub = _subcommands()
     expected = {
-        "radius": {"grid": 720, "format": "csv"},
-        "bounds": {"grid": 16, "seed": 0, "format": "csv"},
-        "tables": {"grid": 16, "format": "csv"},
+        "radius": {"format": "csv"},
+        "bounds": {"seed": 0, "format": "csv"},
+        "tables": {"format": "csv"},
         "positivity": {"seed": 0, "format": "csv", "samples": None},
-        "fuzz": {"grid": 16, "seed": 1, "format": "csv", "kind": "integer-complex",
+        "fuzz": {"seed": 1, "format": "csv", "kind": "integer-complex",
                  "int_range": (0, 10)},
-        "conjecture": {"grid": 16, "seed": 1, "format": "csv", "kind": "integer-complex",
+        "conjecture": {"seed": 1, "format": "csv", "kind": "integer-complex",
                        "ascend_iters": 10},
     }
     assert set(sub) == set(expected)
@@ -349,35 +353,37 @@ def _close(a: float, b: float) -> bool:
 
 
 # The level-set certificate, not the grid, fixes each radius, so the default
-# grid 16 must give every verdict that grid 720 gives.
+# grid 16 must give every verdict that grid 720 gives: each fine run sets
+# radius.DEFAULT_SWEEP to 720 points.
 FUZZ_BOUNDS_ARGV = ["fuzz", "--suite", "half-diff,implicit,beta-chain,aluthge,block-pair",
                     "--dim", "6", "--kind", "gaussian-complex", "--count", "12"]
 
 
 @pytest.mark.parametrize("seed", [1, 11, 9001])
-def test_fuzz_grid_16_agrees_with_grid_720(seed):
+def test_fuzz_grid_16_agrees_with_grid_720(monkeypatch, seed):
     args = cli.build_parser().parse_args([*FUZZ_BOUNDS_ARGV, "--seed", str(seed)])
-    coarse, fine = (run_suites(args.suite, cli._ensemble(args), radius.SweepConfig(g))
-                    for g in (16, 720))
+    coarse = run_suites(args.suite, cli._ensemble(args))
+    monkeypatch.setattr(radius, "DEFAULT_SWEEP", radius.SweepConfig(720))
+    fine = run_suites(args.suite, cli._ensemble(args))
     counts = ("suite", "trials", "reports", "violations", "hypothesis_unmet", "worst_name")
     for a, b in zip(coarse, fine, strict=True):
         assert [getattr(a, c) for c in counts] == [getattr(b, c) for c in counts]
         assert _close(a.worst_slack, b.worst_slack), (a.suite, a.worst_slack, b.worst_slack)
 
 
-def test_bounds_and_tables_grid_16_agree_with_grid_720(tmp_path, capsys):
+def test_bounds_and_tables_grid_16_agree_with_grid_720(monkeypatch, tmp_path, capsys):
     path = tmp_path / "t.json"
     save_matrix(sample_matrix(trial_rng(11, 0), "gaussian-complex", 6), path)
-    runs = []
-    for grid in ("16", "720"):
-        main(["bounds", str(path), "--suite", ",".join(MATRIX_SUITE_NAMES), "--format", "json",
-              "--grid", grid])
+    runs, tables = [], []
+    for grid in (16, 720):
+        monkeypatch.setattr(radius, "DEFAULT_SWEEP", radius.SweepConfig(grid))
+        main(["bounds", str(path), "--suite", ",".join(MATRIX_SUITE_NAMES), "--format", "json"])
         runs.append(json.loads(capsys.readouterr().out))
+        tables.append(reproduce_tables())
     for a, b in zip(*runs, strict=True):
         assert (a["name"], a["holds"]) == (b["name"], b["holds"])
         assert all(_close(a[q], b[q]) for q in ("lhs", "rhs", "slack")), a["name"]
-    coarse, fine = reproduce_tables(radius.SweepConfig(16)), reproduce_tables(radius.SweepConfig(720))
-    for ta, tb in zip(coarse, fine, strict=True):
+    for ta, tb in zip(*tables, strict=True):
         for ra, rb in zip(ta.rows, tb.rows, strict=True):
             assert ra.ok() and rb.ok(), ra.label
             assert all(_close(ra.computed[c], rb.computed[c]) for c in ta.columns), ra.label

@@ -3,8 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from opineq import (EnsembleSpec, InvalidSpec, SweepConfig, conjecture, conjecture_search,
-                    half_diff_slack, radius)
+from opineq import EnsembleSpec, InvalidSpec, conjecture, conjecture_search, half_diff_slack, radius
 from opineq.ensembles import generate
 
 
@@ -25,9 +24,8 @@ def test_slack_hermitian_boundary():
 
 def test_small_campaign_deterministic_and_nonnegative():
     spec = EnsembleSpec(kind="integer-complex", dim=2, count=40, seed=3)
-    cfg = SweepConfig(grid_points=240)
-    a = conjecture_search(spec, ascend_iters=2, cfg=cfg, keep=2, perturbations=10)
-    b = conjecture_search(spec, ascend_iters=2, cfg=cfg, keep=2, perturbations=10)
+    a = conjecture_search(spec, ascend_iters=2, keep=2, perturbations=10)
+    b = conjecture_search(spec, ascend_iters=2, keep=2, perturbations=10)
     assert a.min_slack == b.min_slack
     np.testing.assert_array_equal(a.argmin_matrix, b.argmin_matrix)
     assert a.trials == 40 + 2 * 2 * 10
@@ -43,10 +41,9 @@ def test_stacked_scan_equals_serial_slacks(monkeypatch, count, budget):
     if budget is not None:
         monkeypatch.setattr(conjecture, "SCAN_STACK_BYTES", budget)
     spec = EnsembleSpec(kind="integer-complex", dim=3, count=count, seed=5)
-    cfg = SweepConfig(grid_points=16)
-    scored = list(conjecture._scan(spec, cfg))
+    scored = list(conjecture._scan(spec))
     draws = list(generate(spec))
-    assert [s for s, _ in scored] == [half_diff_slack(T, cfg) for T in draws]
+    assert [s for s, _ in scored] == [half_diff_slack(T) for T in draws]
     for (_, T), D in zip(scored, draws):
         np.testing.assert_array_equal(T, D)
 
@@ -56,7 +53,7 @@ def test_scan_chunk_grid_stack_stays_within_the_byte_budget(monkeypatch, sweeps)
     grids = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: grids.append(M.nbytes) or eigvalsh(M))
-    list(conjecture._scan(EnsembleSpec(kind="gaussian-complex", dim=4, count=50, seed=6), SweepConfig(grid_points=16)))
+    list(conjecture._scan(EnsembleSpec(kind="gaussian-complex", dim=4, count=50, seed=6)))
     assert max(grids) <= conjecture.SCAN_STACK_BYTES // 2
     assert len(sweeps) == 100
 
@@ -79,7 +76,7 @@ def test_scan_holds_one_chunk_of_draws_at_a_time(monkeypatch):
     monkeypatch.setattr(conjecture, "generate", counting)
     monkeypatch.setattr(radius, "_max_on_circle", scoring)
     spec = EnsembleSpec(kind="integer-complex", dim=3, count=100, seed=5)
-    assert len(list(conjecture._scan(spec, SweepConfig(grid_points=16)))) == 100
+    assert len(list(conjecture._scan(spec))) == 100
     assert at_kernel == [28, 56, 84, 100]
 
 
@@ -113,12 +110,11 @@ def test_slack_call_counts(monkeypatch):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_pruned_descent_equals_the_unpruned_run(monkeypatch, dim, kind):
     spec = EnsembleSpec(kind=kind, dim=dim, count=30, seed=11 + dim)
-    cfg = SweepConfig(grid_points=16)
     pruned, below = [], radius.radius_below
     monkeypatch.setattr(radius, "radius_below", lambda T, level: pruned.append(below(T, level)) or pruned[-1])
-    a = conjecture_search(spec, ascend_iters=4, cfg=cfg, keep=2, perturbations=25)
+    a = conjecture_search(spec, ascend_iters=4, keep=2, perturbations=25)
     monkeypatch.setattr(radius, "radius_below", lambda T, level: False)
-    b = conjecture_search(spec, ascend_iters=4, cfg=cfg, keep=2, perturbations=25)
+    b = conjecture_search(spec, ascend_iters=4, keep=2, perturbations=25)
     assert a.min_slack.hex() == b.min_slack.hex()
     assert a.argmin_matrix.tobytes() == b.argmin_matrix.tobytes()
     assert a.trials == b.trials == 30 + 2 * 4 * 25
@@ -128,11 +124,10 @@ def test_pruned_descent_equals_the_unpruned_run(monkeypatch, dim, kind):
 def test_descent_makes_fewer_kernel_calls_than_trials(kernel_calls):
     # Without pruning, each descent trial makes 2 kernel calls.
     spec = EnsembleSpec(kind="integer-complex", dim=3, count=20, seed=4)
-    cfg = SweepConfig(grid_points=16)
-    conjecture_search(spec, ascend_iters=0, cfg=cfg)
+    conjecture_search(spec, ascend_iters=0)
     scan_and_verify = len(kernel_calls)
     kernel_calls.clear()
-    result = conjecture_search(spec, ascend_iters=4, cfg=cfg, keep=2, perturbations=50)
+    result = conjecture_search(spec, ascend_iters=4, keep=2, perturbations=50)
     descent_trials = result.trials - spec.count
     assert descent_trials == 400
     assert (len(kernel_calls) - scan_and_verify) / descent_trials < 1.2

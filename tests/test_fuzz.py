@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from opineq import EnsembleSpec, SUITE_NAMES, UnknownSuite, numerical_radius, run_suite, run_suites
+from opineq import EnsembleSpec, SUITE_NAMES, UnknownSuite, numerical_radius, run_suites
 from opineq import fuzz, radius
 
 FUZZ_BOUNDS_SUITES = ("half-diff", "implicit", "beta-chain", "aluthge", "block-pair")
@@ -12,7 +12,7 @@ FUZZ_BOUNDS_SUITES = ("half-diff", "implicit", "beta-chain", "aluthge", "block-p
 def test_unknown_suite_raises():
     spec = EnsembleSpec(kind="integer-complex", dim=2, count=1, seed=1)
     with pytest.raises(UnknownSuite):
-        run_suite("nope", spec)
+        run_suites(["nope"], spec)
     with pytest.raises(UnknownSuite):
         run_suites(["half-diff", "nope"], spec)
 
@@ -29,7 +29,7 @@ def test_all_suites_run_clean_at_2x2():
 
 def test_compression_counts_hypothesis_unmet():
     spec = EnsembleSpec(kind="gaussian-complex", dim=2, count=40, seed=3)
-    summary = run_suite("compression", spec)
+    summary = run_suites(["compression"], spec)[0]
     # random Gram corners rarely satisfy the range-support hypothesis
     assert summary.hypothesis_unmet > 0
     assert summary.violations == 0
@@ -40,7 +40,7 @@ def test_positivity_large_corner_schur_is_hermitian():
     # rounding in the Schur complement's solve then grows past herm_eig's
     # Hermitian tolerance; every trial must still complete and be detected
     spec = EnsembleSpec(kind="gaussian-complex", dim=6, count=12, seed=101006)
-    summary = run_suite("positivity", spec)
+    summary = run_suites(["positivity"], spec)[0]
     assert summary.trials == 12
     assert summary.reports == 18
     assert summary.violations == 0, summary
@@ -48,15 +48,14 @@ def test_positivity_large_corner_schur_is_hermitian():
 
 def test_fuzz_deterministic():
     spec = EnsembleSpec(kind="gaussian-complex", dim=3, count=10, seed=7)
-    a = run_suite("implicit", spec)
-    b = run_suite("implicit", spec)
+    a, b = (run_suites(["implicit"], spec)[0] for _ in range(2))
     assert a.worst_slack == b.worst_slack
     assert a.worst_name == b.worst_name
 
 
 def test_worst_slack_tracks_inputs():
     spec = EnsembleSpec(kind="integer-complex", dim=2, count=5, seed=2)
-    summary = run_suite("half-diff", spec)
+    summary = run_suites(["half-diff"], spec)[0]
     assert summary.worst_inputs is not None and "T" in summary.worst_inputs
     assert summary.worst_name.startswith("half-diff")
 
@@ -64,11 +63,11 @@ def test_worst_slack_tracks_inputs():
 @pytest.mark.parametrize("kind", ["integer-complex", "gram-psd-block"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_run_suites_equals_one_run_suite_per_name(dim, kind):
-    # run_suite runs one suite per index, so nothing is shared across
-    # suites: this compares shared radii with unshared ones
+    # run_suites on one name runs one suite per index, so nothing is shared
+    # across suites: this compares shared radii with unshared ones
     spec = EnsembleSpec(kind=kind, dim=dim, count=6, seed=40 + dim)
     together = run_suites(SUITE_NAMES, spec)
-    alone = [run_suite(name, spec) for name in SUITE_NAMES]
+    alone = [run_suites([name], spec)[0] for name in SUITE_NAMES]
     for a, b in zip(together, alone, strict=True):
         for field in dataclasses.fields(fuzz.SuiteSummary):
             if field.name != "worst_inputs":
@@ -81,7 +80,7 @@ def test_run_suites_equals_one_run_suite_per_name(dim, kind):
 def test_suites_of_one_draw_share_each_radius(kernel_calls):
     spec = EnsembleSpec(kind="gaussian-complex", dim=6, count=2, seed=9001)
     for name in FUZZ_BOUNDS_SUITES:
-        run_suite(name, spec)
+        run_suites([name], spec)
     assert len(kernel_calls) == 32
     kernel_calls.clear()
     run_suites(FUZZ_BOUNDS_SUITES, spec)
@@ -89,7 +88,7 @@ def test_suites_of_one_draw_share_each_radius(kernel_calls):
 
 
 def test_radius_memo_is_closed_after_a_suite_raises(monkeypatch, kernel_calls):
-    def failing(rng, spec, index, cfg):
+    def failing(rng, spec, index):
         numerical_radius(np.eye(2))
         raise RuntimeError("suite failed")
 
