@@ -21,7 +21,7 @@ from . import radius
 from .ensembles import EnsembleSpec, generate, trial_rng
 from .errors import InvalidSpec
 from .inequalities import _half_diff_matrices
-from .linalg import spectral_norm
+from .linalg import as_matrix, spectral_norm
 from .radius import SweepConfig, numerical_radius
 
 __all__ = ["ConjectureResult", "half_diff_slack", "conjecture_search"]
@@ -44,14 +44,25 @@ class ConjectureResult:
 def half_diff_slack(T, cfg: SweepConfig | None = None, to_beat: float | None = None) -> float:
     """w(T) - w(S) with S = (|T| - |T*|)/2 + i Re T; negative means counterexample.
 
-    Where a level test certifies w(S) < w(T) - to_beat - margin, w(S) is not
-    computed: the slack is at least the returned to_beat + margin, so
-    ``slack < to_beat`` decides as the exact slack does.  ``cfg`` stays to re-score
-    a witness on a finer grid, as the benchmark's campaign check does at 5760."""
-    S, r = _half_diff_matrices(T)["plus-re"], numerical_radius(T, cfg)
-    if to_beat is not None and radius.radius_below(S, r.omega - to_beat - r.margin):
-        return to_beat + r.margin
-    return r.omega - numerical_radius(S, cfg).omega
+    Without ``to_beat``: two ``numerical_radius`` calls (``cfg`` re-scores a witness on a finer
+    grid, as the benchmark's campaign check does at 5760).  With it, no radius call: if the level
+    test certifies w(S) < f - to_beat - 2 eta, f <= w(T) and eta from ``radius_floor``, then
+    to_beat + eta/2 < w_T - w_S, the exact slack, as w_S <= w(S) < w(T) - to_beat - 2 eta and,
+    where the kernel certifies w_T, w_T >= w(T) - margin_T > w(T) - 1.1 eta (f >= w(T) cos(pi/g));
+    so ``slack < to_beat`` decides alike.  Else one stacked kernel call scores [T, S], bitwise."""
+    S = _half_diff_matrices(T)["plus-re"]
+    if to_beat is None:
+        return numerical_radius(T, cfg).omega - numerical_radius(S, cfg).omega
+    floor, eta = radius.radius_floor(T)
+    if radius.radius_below(S, floor - to_beat - 2.0 * eta):
+        return to_beat + eta / 2.0
+    return _stacked_slacks(as_matrix(T)[None], S[None], cfg or radius.DEFAULT_SWEEP)[0]
+
+
+def _stacked_slacks(T: np.ndarray, S: np.ndarray, cfg: SweepConfig) -> list[float]:
+    """w(T_i) - w(S_i) over the (k, n, n) stacks T and S, one kernel call of 2k matrices."""
+    res = radius._max_on_circle(np.concatenate([T, S]), cfg)
+    return [t.omega - s.omega for t, s in zip(res, res[len(T) :])]
 
 
 def _scan(spec: EnsembleSpec) -> Iterator[tuple[float, np.ndarray]]:
@@ -63,8 +74,7 @@ def _scan(spec: EnsembleSpec) -> Iterator[tuple[float, np.ndarray]]:
     chunk += islice(draws, size - 1)
     while chunk:
         T = np.stack(chunk)
-        res = radius._max_on_circle(np.concatenate([T, _half_diff_matrices(T)["plus-re"]]), sweep)
-        yield from ((t.omega - s.omega, M) for t, s, M in zip(res, res[len(T) :], chunk))
+        yield from zip(_stacked_slacks(T, _half_diff_matrices(T)["plus-re"], sweep), chunk)
         chunk = list(islice(draws, size))
 
 
@@ -78,8 +88,8 @@ def conjecture_search(
 
     Each descent round tries ``perturbations`` random perturbations of
     Frobenius size step (initially 0.1 * ||T||, decaying by 0.7 per
-    round), most of them rejected by ``half_diff_slack``'s level test, not a
-    second radius, with the same decisions.  Deterministic for a fixed spec.
+    round), each one radius-free ``half_diff_slack`` call, most of them rejected by a
+    level test on a grid floor of w(T), with the same decisions.  Deterministic for a fixed spec.
     """
     for name, value, least in (("ascend_iters", ascend_iters, 0), ("keep", keep, 1),
                                ("perturbations", perturbations, 0)):

@@ -36,6 +36,7 @@ __all__ = [
     "SweepResult",
     "numerical_radius",
     "radius_below",
+    "radius_floor",
     "rayleigh_radius",
 ]
 
@@ -168,20 +169,10 @@ def _scaled_parts(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (M.view(float) / scale[:, None, None, None]).view(complex), scale
 
 
-def _max_on_circle(T: np.ndarray, cfg: SweepConfig) -> list[SweepResult]:
-    """Numerical radius of each matrix of the (k, n, n) stack T, one SweepResult each:
-    maximize f(theta) = lambda_max(cos(theta) A - sin(theta) B), with A, B = Re T, Im T.
-
-    One batched eigvalsh over all matrices and grid angles brackets each
-    matrix's largest grid value, the later angle on a tie; ``_refine``
-    starts there at the vertex of the grid parabola.  Any other peak is left
-    to the level-set test: it certifies each largest value seen or gives
-    crossing angles, each restarting Newton within its neighbours (Mengi &
-    Overton, IMA J. Numer. Anal. 2005) for at most _RESTARTS rounds.
-    As H(theta + pi) = -H(theta), an even grid solves only its angles in
-    [0, pi) and reads f(theta + pi) as -lambda_min(H(theta)).
-    """
-    M, scale = _scaled_parts(T)
+def _grid_start(M: np.ndarray, cfg: SweepConfig):
+    """(t, lo, hi, top) per matrix of the (k, 2, n, n) scaled parts M: top is the largest grid
+    value of f (the later angle on a tie) and t the vertex of the parabola through it and its
+    neighbours lo, hi.  An even grid solves only [0, pi), as H(theta + pi) = -H(theta)."""
     h = TWO_PI / cfg.grid_points
     thetas = np.arange(cfg.grid_points) * h
     fold = cfg.grid_points % 2 == 0
@@ -195,7 +186,17 @@ def _max_on_circle(T: np.ndarray, cfg: SweepConfig) -> list[SweepResult]:
     lv, mv, rv = vals[own, pick - 1], vals[own, pick], vals[own, (pick + 1) % cfg.grid_points]
     bend = lv - 2.0 * mv + rv
     vertex = np.divide(lv - rv, bend, out=np.zeros_like(bend), where=bend < 0.0)
-    best = _refine(M, own, th + 0.5 * h * vertex, th - h, th + h, own)
+    return th + 0.5 * h * vertex, th - h, th + h, mv
+
+
+def _max_on_circle(T: np.ndarray, cfg: SweepConfig) -> list[SweepResult]:
+    """Numerical radius of each matrix of the (k, n, n) stack T, one SweepResult each: ``_refine``
+    maximizes f(theta) = lambda_max(cos(theta) Re T - sin(theta) Im T) from ``_grid_start``, and
+    the level-set test certifies each largest value seen or gives crossing angles, each restarting
+    Newton within its neighbours (Mengi & Overton, 2005) for at most _RESTARTS rounds."""
+    M, scale = _scaled_parts(T)
+    own = np.arange(len(M))
+    best = _refine(M, own, *_grid_start(M, cfg)[:3], own)
     eta = _CERT_RTOL * (1.0 + np.abs(best[1]))
     certified, own, t = _angles_above(M[:, 0], M[:, 1], best[1], eta)
     for _ in range(_RESTARTS):
@@ -212,6 +213,15 @@ def _max_on_circle(T: np.ndarray, cfg: SweepConfig) -> list[SweepResult]:
         own = todo[own]
     rows = zip(*(x.tolist() for x in (best[0], best[1], certified, eta, scale)), best[2])
     return [SweepResult(w * s, t % TWO_PI, x, c, e * s if c else math.inf) for t, w, c, e, s, x in rows]
+
+
+def radius_floor(T) -> tuple[float, float]:
+    """(floor, eta) in input units: floor <= w(T), the larger of f's top grid value and f at the
+    grid parabola's vertex, is >= w(T) cos(pi/g) on g points; eta = _CERT_RTOL (1 + |floor|)."""
+    M, scale = _scaled_parts(as_matrix(T)[None])
+    (t,), _, _, (top,) = _grid_start(M, DEFAULT_SWEEP)
+    f = float(max(top, np.linalg.eigvalsh(math.cos(t) * M[0, 0] - math.sin(t) * M[0, 1])[-1]))
+    return f * float(scale[0]), _CERT_RTOL * (1.0 + abs(f)) * float(scale[0])
 
 
 def radius_below(T, level) -> bool:

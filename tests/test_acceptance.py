@@ -10,8 +10,10 @@ test_inequalities.test_beta_chain_middle_link_counterexample for a
 frozen 4x4 counterexample).
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,7 @@ from opineq import (
 )
 from opineq.ensembles import sample_matrix, trial_rng
 from opineq.fuzz import MIXED_SCHWARZ_ALPHAS
+from opineq.matio import matrix_from_dict
 from opineq.tables import TABLE_TOL
 
 
@@ -313,6 +316,14 @@ def test_criterion_5_conjecture_campaign():
     for dim in (2, 3):
         spec = EnsembleSpec(kind="integer-complex", dim=dim, count=10000, seed=1)
         results[dim] = conjecture_search(spec, ascend_iters=10)
+
+    # the dim-3 counterexample stays the frozen one
+    frozen = json.loads((Path(__file__).parent / "data" / "campaign_dim3_seed1.json").read_text())
+    found = results[3]
+    assert found.min_slack == pytest.approx(frozen["min_slack"], rel=1e-10)
+    np.testing.assert_allclose(found.argmin_matrix, matrix_from_dict(frozen["argmin"]), rtol=0, atol=1e-9)
+    assert found.trials == frozen["trials"]
+    assert found.violated and found.certified
 
     # deterministic under a fixed seed
     small = EnsembleSpec(kind="integer-complex", dim=2, count=50, seed=7)

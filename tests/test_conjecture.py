@@ -80,7 +80,7 @@ def test_scan_holds_one_chunk_of_draws_at_a_time(monkeypatch):
     assert at_kernel == [28, 56, 84, 100]
 
 
-def test_slack_call_counts(monkeypatch):
+def test_slack_call_counts(monkeypatch, kernel_calls):
     counts = Counter()
 
     def counted(name, fn):
@@ -90,20 +90,38 @@ def test_slack_call_counts(monkeypatch):
         return call
 
     monkeypatch.setattr(conjecture, "numerical_radius", counted("radius", conjecture.numerical_radius))
+    monkeypatch.setattr(radius, "radius_floor", counted("floor", radius.radius_floor))
     monkeypatch.setattr(radius, "radius_below", counted("level", radius.radius_below))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     T = np.array([[5 + 7j, 9 + 6j, 1], [5j, 10 + 3j, 2 - 1j], [3, 0, 4j]])
     exact = half_diff_slack(T)
     assert counts == {"radius": 2, "svd": 2}
-    # A slack that beats to_beat is computed in full, bitwise as without it.
+    assert kernel_calls == [1, 1]
+    # A descent trial makes no radius call.  One that beats to_beat is scored
+    # as [T, S] in one stacked kernel call, bitwise as without to_beat.
     counts.clear()
+    kernel_calls.clear()
     assert half_diff_slack(T, to_beat=exact + 1.0) == exact
-    assert counts == {"radius": 2, "level": 1, "svd": 2}
-    # One that cannot is pruned: no second radius, and a bound between to_beat and the slack.
+    assert counts == {"floor": 1, "level": 1, "svd": 2}
+    assert kernel_calls == [2]
+    # One that cannot is pruned: no kernel call, and a bound between to_beat and the slack.
     counts.clear()
+    kernel_calls.clear()
     to_beat = exact - 1.0
     assert to_beat < half_diff_slack(T, to_beat=to_beat) <= exact
-    assert counts == {"radius": 1, "level": 1, "svd": 2}
+    assert counts == {"floor": 1, "level": 1, "svd": 2}
+    assert kernel_calls == []
+
+
+def test_floor_prune_rejects_most_descent_trials(monkeypatch):
+    # The grid floor of w(T) sits a little below w(T), so it prunes somewhat
+    # fewer candidates than an exact level would; most must still go.
+    pruned, below = [], radius.radius_below
+    monkeypatch.setattr(radius, "radius_below", lambda T, level: pruned.append(below(T, level)) or pruned[-1])
+    spec = EnsembleSpec(kind="integer-complex", dim=3, count=50, seed=1)
+    conjecture_search(spec, ascend_iters=4, keep=2, perturbations=50)
+    assert len(pruned) == 400
+    assert sum(pruned) >= 0.7 * len(pruned)
 
 
 @pytest.mark.parametrize("kind", ["integer-complex", "gaussian-complex", "unit-disc"])

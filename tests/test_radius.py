@@ -581,6 +581,29 @@ def test_radius_below_is_false_at_a_non_finite_level_or_a_failed_solve(monkeypat
     assert not radius.radius_below(T, 10.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "shift", "rank-one", "hermitian", "zero"]),
+       scale=st.sampled_from([1.0, 1e150, 1e-150]))
+def test_radius_floor_is_at_least_the_grid_maximum_and_at_most_the_radius(n, seed, kind, scale):
+    # Every candidate of the floor is a value of f, so at most w, which the
+    # certified omega is within rounding of; the grid maximum is one candidate.
+    if kind == "hermitian":
+        G = random_complex(np.random.default_rng(seed), n)
+        T = scale * (G + G.conj().T)
+    else:
+        T = np.zeros((n, n)) if kind == "zero" else stack_member(kind, n, seed, scale)
+    floor, eta = radius.radius_floor(T)
+    res = numerical_radius(T)
+    assert res.certified
+    assert floor <= res.omega * (1.0 + 1e-14)
+    A, B = re_im_parts(T)
+    thetas = np.arange(radius.DEFAULT_SWEEP.grid_points) * (2 * math.pi / radius.DEFAULT_SWEEP.grid_points)
+    grid = np.linalg.eigvalsh(np.cos(thetas)[:, None, None] * A - np.sin(thetas)[:, None, None] * B)[:, -1]
+    assert grid.max() * (1.0 - 1e-14) <= floor
+    assert 0.0 <= 1e-9 * floor <= eta
+
+
 def ellipse_radius(T):
     """max |z| over the elliptical range of a 2x2 T: W(T) is the ellipse with
     foci lam1, lam2 and minor axis sqrt(tr T*T - |lam1|^2 - |lam2|^2)."""
