@@ -48,9 +48,7 @@ def _emit_quantities(rows, args) -> None:
 
 
 def _ensemble(args) -> EnsembleSpec:
-    # conjecture takes no --int-range, so its spec keeps EnsembleSpec's default
-    extra = {"int_range": tuple(args.int_range)} if "int_range" in args else {}
-    return EnsembleSpec(kind=args.kind, dim=args.dim, count=args.count, seed=args.seed, **extra)
+    return EnsembleSpec(kind=args.kind, dim=args.dim, count=args.count, seed=args.seed)
 
 
 def cmd_radius(args) -> int:
@@ -98,7 +96,7 @@ def cmd_tables(args) -> int:
 
 def cmd_positivity(args) -> int:
     A, B, C = (load_matrix(path) for path in (args.A, args.B, args.C))
-    verdict = block_positivity(A, B, C, samples=args.samples, seed=args.seed)
+    verdict = block_positivity(A, B, C, seed=args.seed)
     names = ("is_psd", "min_eig", "schur_residual", "condition_ii_max_ratio", "sampled_pairs")
     _emit_quantities([(q, getattr(verdict, q)) for q in names], args)
     return 0 if verdict.consistent else 1
@@ -165,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("positivity", help="block positivity by three routes")
     for name in ("A", "B", "C"):
         p.add_argument(name)
-    p.add_argument("--samples", type=int)
     _add_common(p, seed=0)
     p.set_defaults(func=cmd_positivity)
 
@@ -173,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, type=_suite_list,
                    help="comma-separated: " + ",".join(SUITE_NAMES))
     _add_ensemble(p)
-    p.add_argument("--int-range", type=int, nargs=2, default=EnsembleSpec.int_range,
-                   metavar=("LO", "HI"))
     _add_common(p)
     p.set_defaults(func=cmd_fuzz)
 

@@ -28,7 +28,7 @@ __all__ = ["ConjectureResult", "half_diff_slack", "conjecture_search"]
 
 VIOLATION_RTOL = 1e-7
 # Per scan chunk: bytes of a full-circle kernel grid stack, grid * n * n * 16 per
-# matrix; an even grid folds onto [0, pi), so its stack fills half the budget.
+# matrix; the kernel's grid folds onto [0, pi), so its stack fills half the budget.
 SCAN_STACK_BYTES = 1 << 17
 
 

@@ -22,8 +22,8 @@ __all__ = ["KINDS", "EnsembleSpec", "trial_rng", "sample_matrix", "generate"]
 class EnsembleSpec:
     """Which matrices to draw: kind, size, how many, and the seed.
 
-    integer-complex draws Re and Im independently uniform on the integer
-    range; integer-real leaves Im = 0; gaussian-complex uses standard
+    integer-complex draws Re and Im independently uniform on the integers
+    0..10; integer-real leaves Im = 0; gaussian-complex uses standard
     normal components; gram-psd-block yields G* G for a 2*dim gaussian G
     (a PSD block matrix ready for corner extraction); unit-disc draws
     every entry uniformly from the closed unit disc.
@@ -33,7 +33,6 @@ class EnsembleSpec:
     dim: int
     count: int
     seed: int
-    int_range: tuple[int, int] = (0, 10)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -42,9 +41,6 @@ class EnsembleSpec:
             raise InvalidSpec("dim must be >= 1")
         if self.count < 1:
             raise InvalidSpec("count must be >= 1")
-        lo, hi = self.int_range
-        if lo > hi:
-            raise InvalidSpec(f"int_range lo {lo} exceeds hi {hi}")
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -53,15 +49,13 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_matrix(rng: np.random.Generator, kind: str, dim: int,
-                  int_range: tuple[int, int] = (0, 10)) -> np.ndarray:
-    lo, hi = int_range
+def sample_matrix(rng: np.random.Generator, kind: str, dim: int) -> np.ndarray:
     if kind == "integer-complex":
-        re = rng.integers(lo, hi + 1, size=(dim, dim))
-        im = rng.integers(lo, hi + 1, size=(dim, dim))
+        re = rng.integers(0, 11, size=(dim, dim))
+        im = rng.integers(0, 11, size=(dim, dim))
         return re + 1j * im
     if kind == "integer-real":
-        return rng.integers(lo, hi + 1, size=(dim, dim)).astype(np.complex128)
+        return rng.integers(0, 11, size=(dim, dim)).astype(np.complex128)
     if kind == "gaussian-complex":
         return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     if kind == "gram-psd-block":
@@ -76,4 +70,4 @@ def sample_matrix(rng: np.random.Generator, kind: str, dim: int,
 def generate(spec: EnsembleSpec) -> Iterator[np.ndarray]:
     """Yield spec.count matrices, deterministic for a fixed seed."""
     for i in range(spec.count):
-        yield sample_matrix(trial_rng(spec.seed, i), spec.kind, spec.dim, spec.int_range)
+        yield sample_matrix(trial_rng(spec.seed, i), spec.kind, spec.dim)

@@ -57,9 +57,9 @@ def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _gram_blocks(rng, dim, kind, int_range):
+def _gram_blocks(rng, dim, kind):
     # gram-psd-block already returns a PSD 2*dim block for size dim
-    g = sample_matrix(rng, kind, dim if kind == "gram-psd-block" else 2 * dim, int_range)
+    g = sample_matrix(rng, kind, dim if kind == "gram-psd-block" else 2 * dim)
     if kind != "gram-psd-block":
         g = g.conj().T @ g
     A, _, C, B = split2(g, dim)
@@ -91,7 +91,7 @@ def _single_matrix_suite(on_matrix):
     """
 
     def run(rng, spec: EnsembleSpec, index: int):
-        T = sample_matrix(rng, spec.kind, spec.dim, spec.int_range)
+        T = sample_matrix(rng, spec.kind, spec.dim)
         return on_matrix(T, rng), {"T": T}
 
     run.on_matrix = on_matrix
@@ -99,8 +99,8 @@ def _single_matrix_suite(on_matrix):
 
 
 def _suite_block_pair(rng, spec, index):
-    A = sample_matrix(rng, spec.kind, spec.dim, spec.int_range)
-    B = sample_matrix(rng, spec.kind, spec.dim, spec.int_range)
+    A = sample_matrix(rng, spec.kind, spec.dim)
+    B = sample_matrix(rng, spec.kind, spec.dim)
     return [block_pair_report(A, B)], {"A": A, "B": B}
 
 
@@ -113,13 +113,13 @@ def _mixed_schwarz_reports(T, rng):
 
 
 def _suite_corner(rng, spec, index):
-    A, B, C = _gram_blocks(rng, spec.dim, spec.kind, spec.int_range)
+    A, B, C = _gram_blocks(rng, spec.dim, spec.kind)
     return [corner_norm_report(A, B, C)], {"A": A, "B": B, "C": C}
 
 
 def _suite_compression(rng, spec, index):
     if index % 2 == 0 or spec.dim == 1:
-        A, B, C = _gram_blocks(rng, spec.dim, spec.kind, spec.int_range)
+        A, B, C = _gram_blocks(rng, spec.dim, spec.kind)
     else:
         # rank-deficient corner with full-rank B: the range-support
         # hypothesis U U* B = B genuinely fails, which the report must
@@ -136,13 +136,13 @@ def _suite_compression(rng, spec, index):
 
 
 def _suite_majorization(rng, spec, index):
-    S = sample_matrix(rng, spec.kind, spec.dim, spec.int_range)
+    S = sample_matrix(rng, spec.kind, spec.dim)
     if index % 2 == 0:
         # contraction construction: T T* <= S S* holds by design
         d = rng.uniform(0.0, 1.0, size=S.shape[1])
         T = S @ np.diag(d).astype(np.complex128)
     else:
-        T = sample_matrix(rng, spec.kind, spec.dim, spec.int_range)
+        T = sample_matrix(rng, spec.kind, spec.dim)
     one, two = majorization_equiv(T, S, seed=int(rng.integers(0, 2**62)))
     return [one, two], {"T": T, "S": S}
 
@@ -151,7 +151,7 @@ def _suite_positivity(rng, spec, index):
     """Alternate PSD and non-PSD blocks; encode the three-route agreement as
     reports so violations surface like any other suite."""
     if index % 2 == 0:
-        A, B, C = _gram_blocks(rng, spec.dim, spec.kind, spec.int_range)
+        A, B, C = _gram_blocks(rng, spec.dim, spec.kind)
         verdict = block_positivity(A, B, C, seed=int(rng.integers(0, 2**62)))
         ratio = verdict.condition_ii_max_ratio
         if not math.isfinite(ratio):

@@ -20,7 +20,6 @@ from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
     HypothesisUnmet,
-    InvalidSpec,
     NonFinite,
     NotHermitian,
     NotPSD,
@@ -148,7 +147,7 @@ def _require_hermitian(M: np.ndarray, what: str) -> np.ndarray:
     return (M + M.conj().T) / 2.0
 
 
-# Pairs drawn and scored at a time: bounds memory for any sample count.
+# Pairs drawn and scored at a time: bounds memory for large blocks.
 _PAIRS_PER_DRAW = 1024
 
 
@@ -172,13 +171,13 @@ def _solve_unit(M, x, fallback):
     return fallback
 
 
-def block_positivity(A, B, C, samples: int | None = None, seed: int = 0) -> PositivityVerdict:
+def block_positivity(A, B, C, seed: int = 0) -> PositivityVerdict:
     """Check positivity of [[A, C*], [C, B]] by three routes.
 
     Eigenvalue route: minimum eigenvalue of the assembled block.
-    Inner-product route: maximize |<Cu,v>|^2 / (<Au,u> <Bv,v>) over sampled
-    unit pairs plus 20 alternating ascent steps (regularized solves); the
-    block is PSD exactly when this ratio never exceeds 1.
+    Inner-product route: maximize |<Cu,v>|^2 / (<Au,u> <Bv,v>) over
+    10 max(n, m)^2 sampled unit pairs plus 20 alternating ascent steps
+    (regularized solves); the block is PSD exactly when it never exceeds 1.
     Schur route: negativity of B - C (A + eps I)^(-1) C*.
     """
     A = _require_hermitian(as_matrix(A), "A")
@@ -187,8 +186,6 @@ def block_positivity(A, B, C, samples: int | None = None, seed: int = 0) -> Posi
     n, m = A.shape[0], B.shape[0]
     if C.shape != (m, n):
         raise DimensionMismatch(f"C must be {m}x{n}, got {C.shape}")
-    if samples is not None and samples <= 0:
-        raise InvalidSpec(f"samples must be positive, got {samples}")
 
     is_psd, min_eig, _ = _check_block_psd(A, B, C)
     norm_a, norm_b = spectral_norm(A), spectral_norm(B)
@@ -209,7 +206,7 @@ def block_positivity(A, B, C, samples: int | None = None, seed: int = 0) -> Posi
     A, B, C, A_eps, B_eps = (p2 * M for M in (A, B, C, A_eps, B_eps))
     eps_ratio = 1e-14 * (p2 * scale) * (p2 * scale)
 
-    n_samples = samples if samples is not None else 10 * max(n, m) ** 2
+    n_samples = 10 * max(n, m) ** 2
     rng = trial_rng(seed, 0)
 
     # Each row of a draw is one pair (Re u, Im u, Re v, Im v): the same

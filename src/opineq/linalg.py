@@ -63,7 +63,7 @@ def _as_stack(T) -> np.ndarray:
 
 def _require_square(T: np.ndarray) -> np.ndarray:
     if T.shape[-2] != T.shape[-1]:
-        raise NotSquare(f"expected a square matrix, got shape {T.shape}")
+        raise NotSquare(f"expected a square matrix, got shape {T.shape[-2:]}")
     return T
 
 

@@ -45,9 +45,9 @@ __all__ = [
 class SweepConfig:
     """Angle-sweep controls.
 
-    A uniform grid of ``grid_points`` angles brackets each matrix's largest
-    grid value and safeguarded Newton steps refine it; a level-set test, exact
-    at any grid, finds any peak the grid missed, so 16 points are enough.
+    A uniform grid of ``grid_points`` angles (even, >= 8) brackets each matrix's
+    largest grid value and safeguarded Newton steps refine it; a level-set test,
+    exact at any grid, finds any peak the grid missed, so 16 points are enough.
     """
 
     grid_points: int = 16
@@ -57,8 +57,8 @@ class SweepConfig:
             grid = operator.index(self.grid_points)
         except TypeError:
             raise InvalidSpec(f"grid_points must be an integer, got {self.grid_points!r}") from None
-        if grid < 8:
-            raise InvalidSpec("grid_points must be >= 8")
+        if grid < 8 or grid % 2:
+            raise InvalidSpec(f"grid_points must be an even integer >= 8, got {grid}")
         object.__setattr__(self, "grid_points", int(grid))  # np.int64(16) and 16: one memo key
 
 
@@ -172,14 +172,13 @@ def _scaled_parts(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _grid_start(M: np.ndarray, cfg: SweepConfig):
     """(t, lo, hi, top) per matrix of the (k, 2, n, n) scaled parts M: top is the largest grid
     value of f (the later angle on a tie) and t the vertex of the parabola through it and its
-    neighbours lo, hi.  An even grid solves only [0, pi), as H(theta + pi) = -H(theta)."""
+    neighbours lo, hi.  The grid is even and solves only [0, pi), as H(theta + pi) = -H(theta)."""
     h = TWO_PI / cfg.grid_points
     thetas = np.arange(cfg.grid_points) * h
-    fold = cfg.grid_points % 2 == 0
-    half = thetas[: cfg.grid_points // 2] if fold else thetas
+    half = thetas[: cfg.grid_points // 2]
     c, s = np.cos(half)[:, None, None], np.sin(half)[:, None, None]
     lam = np.linalg.eigvalsh(c * M[:, 0, None] - s * M[:, 1, None])
-    vals = np.concatenate([lam[..., -1], -lam[..., 0]], axis=1) if fold else lam[..., -1]
+    vals = np.concatenate([lam[..., -1], -lam[..., 0]], axis=1)
     own = np.arange(len(M))
     pick = cfg.grid_points - 1 - np.argmax(vals[:, ::-1], axis=1)  # largest; ties: the later angle
     th = thetas[pick]

@@ -234,8 +234,12 @@ def test_input_errors(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["radius", str(bad)]) == 2
     nonsquare = tmp_path / "rect.json"
-    save_matrix(np.ones((1, 2)), nonsquare)
+    save_matrix(np.ones((2, 3)), nonsquare)
+    capsys.readouterr()
     assert main(["radius", str(nonsquare)]) == 2
+    # the error names the file's shape, not the kernel's (1, 2, 3) stack
+    err = capsys.readouterr().err
+    assert "(2, 3)" in err and "(1, 2, 3)" not in err
     assert main(["fuzz", "--suite", "nope", "--dim", "2", "--count", "2"]) == 2
     good = tmp_path / "good.json"
     save_matrix(np.eye(2), good)
@@ -251,8 +255,9 @@ def test_input_errors(tmp_path, capsys):
     # a suite list that names no suite
     assert main(["bounds", str(good), "--suite", ""]) == 2
     assert main(["fuzz", "--suite", " , ", "--dim", "2", "--count", "2"]) == 2
-    # no sampled pairs: block_positivity has no ratio to report
-    assert main(["positivity", str(good), str(good), str(good), "--samples", "0"]) == 2
+    # the pair count is 10 max(n, m)^2 and the integer range 0..10: no options either
+    assert main(["positivity", str(good), str(good), str(good), "--samples", "5"]) == 2
+    assert main(["fuzz", "--suite", "implicit", "--dim", "2", "--count", "1", "--int-range", "0", "10"]) == 2
 
 
 def test_bounds_at_extreme_scale(tmp_path, capsys):
@@ -336,9 +341,8 @@ def test_parser_owns_the_defaults():
         "radius": {"format": "csv"},
         "bounds": {"seed": 0, "format": "csv"},
         "tables": {"format": "csv"},
-        "positivity": {"seed": 0, "format": "csv", "samples": None},
-        "fuzz": {"seed": 1, "format": "csv", "kind": "integer-complex",
-                 "int_range": (0, 10)},
+        "positivity": {"seed": 0, "format": "csv"},
+        "fuzz": {"seed": 1, "format": "csv", "kind": "integer-complex"},
         "conjecture": {"seed": 1, "format": "csv", "kind": "integer-complex",
                        "ascend_iters": 10},
     }

@@ -20,12 +20,6 @@ def test_trials_are_independent_streams():
     np.testing.assert_array_equal(mats[3], direct)
 
 
-def test_degenerate_range_gives_zero_matrix():
-    spec = EnsembleSpec(kind="integer-complex", dim=3, count=2, seed=0, int_range=(0, 0))
-    for T in generate(spec):
-        np.testing.assert_array_equal(T, np.zeros((3, 3)))
-
-
 def test_integer_entries_statistics():
     spec = EnsembleSpec(kind="integer-complex", dim=2, count=1000, seed=5)
     total = np.zeros((), dtype=complex)
@@ -64,8 +58,6 @@ def test_invalid_specs():
         EnsembleSpec(kind="integer-real", dim=0, count=1, seed=0)
     with pytest.raises(InvalidSpec):
         EnsembleSpec(kind="integer-real", dim=2, count=0, seed=0)
-    with pytest.raises(InvalidSpec):
-        EnsembleSpec(kind="integer-real", dim=2, count=1, seed=0, int_range=(3, 1))
 
 
 def test_unit_disc_is_an_ensemble_kind():

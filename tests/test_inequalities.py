@@ -6,7 +6,6 @@ import pytest
 
 from opineq import (
     HypothesisUnmet,
-    InvalidSpec,
     NonFinite,
     NotPSD,
     NotSquare,
@@ -93,12 +92,6 @@ def test_block_positivity_ratio_is_scale_free(c):
     assert psd.condition_ii_max_ratio == pytest.approx(1.0, rel=1e-12)
     assert non_psd.condition_ii_max_ratio == pytest.approx(2.25, rel=1e-12)
     assert psd.consistent
-
-
-def test_block_positivity_rejects_no_samples():
-    for samples in (0, -3):
-        with pytest.raises(InvalidSpec):
-            block_positivity(np.eye(2), np.eye(2), np.eye(2), samples=samples)
 
 
 def test_positivity_consistent():
