@@ -43,12 +43,10 @@ from .linalg import (
     block2,
     fro_norm,
     herm_eig,
-    inner,
     matrix_abs,
     matrix_power_psd,
     re_im_parts,
     spectral_norm,
-    split2,
     svd,
 )
 from .matio import (

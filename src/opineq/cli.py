@@ -24,7 +24,7 @@ from .tables import HALF_DIFF_ROWS, TABLE_TOL, reproduce_tables
 
 # `radius` starts from 720 grid points, not radius.DEFAULT_SWEEP's 16: the benchmark's
 # radius-large workload checks each query with an ~80 ms Rayleigh ascent, and faster
-# grid-16 queries would queue more checking than its DEADLINE_S allows (ROADMAP 1, 3).
+# grid-16 queries would queue more checking than its DEADLINE_S allows (ROADMAP 1, 7).
 RADIUS_SWEEP = SweepConfig(720)
 
 

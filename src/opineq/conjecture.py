@@ -30,6 +30,10 @@ VIOLATION_RTOL = 1e-7
 # Per scan chunk: bytes of a full-circle kernel grid stack, grid * n * n * 16 per
 # matrix; the kernel's grid folds onto [0, pi), so its stack fills half the budget.
 SCAN_STACK_BYTES = 1 << 17
+# The descent starts from the KEEP best scanned draws and tries PERTURBATIONS moves per
+# round; perfbench's CAMPAIGN_DESCENT = 5 * 10 * 50 counts the trials these values give.
+KEEP = 5
+PERTURBATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -78,24 +82,18 @@ def _scan(spec: EnsembleSpec) -> Iterator[tuple[float, np.ndarray]]:
         chunk = list(islice(draws, size))
 
 
-def conjecture_search(
-    spec: EnsembleSpec,
-    ascend_iters: int = 10,
-    keep: int = 5,
-    perturbations: int = 50,
-) -> ConjectureResult:
-    """Scan the ensemble, then hill-descend the ``keep`` best candidates.
+def conjecture_search(spec: EnsembleSpec, ascend_iters: int = 10) -> ConjectureResult:
+    """Scan the ensemble, then hill-descend the KEEP best candidates.
 
-    Each descent round tries ``perturbations`` random perturbations of
-    Frobenius size step (initially 0.1 * ||T||, decaying by 0.7 per
-    round), each one radius-free ``half_diff_slack`` call, most of them rejected by a
-    level test on a grid floor of w(T), with the same decisions.  Deterministic for a fixed spec.
+    Each of ``ascend_iters`` descent rounds tries PERTURBATIONS random
+    perturbations of Frobenius size step (initially 0.1 * ||T||, decaying by
+    0.7 per round), each one radius-free ``half_diff_slack`` call, most of them
+    rejected by a level test on a grid floor of w(T), with the same decisions.
+    Deterministic for a fixed spec.
     """
-    for name, value, least in (("ascend_iters", ascend_iters, 0), ("keep", keep, 1),
-                               ("perturbations", perturbations, 0)):
-        if value < least:
-            raise InvalidSpec(f"{name} must be >= {least}, got {value}")
-    candidates = heapq.nsmallest(keep, _scan(spec), key=lambda pair: pair[0])
+    if ascend_iters < 0:
+        raise InvalidSpec(f"ascend_iters must be >= 0, got {ascend_iters}")
+    candidates = heapq.nsmallest(KEEP, _scan(spec), key=lambda pair: pair[0])
     trials = spec.count
 
     finalists = []
@@ -105,7 +103,7 @@ def conjecture_search(
         step = 0.1 * max(spectral_norm(T), 1e-12)
         for round_idx in range(ascend_iters):
             rng = trial_rng(spec.seed, 2**32 + c_idx * 2**16 + round_idx)
-            for _ in range(perturbations):
+            for _ in range(PERTURBATIONS):
                 g = rng.normal(size=T.shape) + 1j * rng.normal(size=T.shape)
                 g_norm = float(np.linalg.norm(g))
                 if g_norm == 0.0:

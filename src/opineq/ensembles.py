@@ -6,6 +6,7 @@ trials are reproducible, order-independent, and safe to parallelize.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 
-KINDS = ("integer-complex", "integer-real", "gaussian-complex", "gram-psd-block", "unit-disc")
+KINDS = ("integer-complex", "integer-real", "gaussian-complex", "unit-disc")
 
 __all__ = ["KINDS", "EnsembleSpec", "trial_rng", "sample_matrix", "generate"]
 
@@ -24,9 +25,8 @@ class EnsembleSpec:
 
     integer-complex draws Re and Im independently uniform on the integers
     0..10; integer-real leaves Im = 0; gaussian-complex uses standard
-    normal components; gram-psd-block yields G* G for a 2*dim gaussian G
-    (a PSD block matrix ready for corner extraction); unit-disc draws
-    every entry uniformly from the closed unit disc.
+    normal components; unit-disc draws every entry uniformly from the
+    closed unit disc.  ``dim``, ``count`` and ``seed`` are stored as plain ints.
     """
 
     kind: str
@@ -37,6 +37,12 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown ensemble kind {self.kind!r}; choose from {KINDS}")
+        for name in ("dim", "count", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
         if self.dim < 1:
             raise InvalidSpec("dim must be >= 1")
         if self.count < 1:
@@ -58,9 +64,6 @@ def sample_matrix(rng: np.random.Generator, kind: str, dim: int) -> np.ndarray:
         return rng.integers(0, 11, size=(dim, dim)).astype(np.complex128)
     if kind == "gaussian-complex":
         return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    if kind == "gram-psd-block":
-        g = rng.normal(size=(2 * dim, 2 * dim)) + 1j * rng.normal(size=(2 * dim, 2 * dim))
-        return g.conj().T @ g
     if kind == "unit-disc":
         r = np.sqrt(rng.uniform(size=(dim, dim)))
         return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(dim, dim)))

@@ -28,7 +28,7 @@ from .inequalities import (
     mixed_schwarz,
     radius_upper_reports,
 )
-from .linalg import spectral_norm, split2
+from .linalg import spectral_norm
 from .radius import radius_memo
 
 MIXED_SCHWARZ_ALPHAS = tuple(0.25 * k for k in range(9))
@@ -58,12 +58,10 @@ def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _gram_blocks(rng, dim, kind):
-    # gram-psd-block already returns a PSD 2*dim block for size dim
-    g = sample_matrix(rng, kind, dim if kind == "gram-psd-block" else 2 * dim)
-    if kind != "gram-psd-block":
-        g = g.conj().T @ g
-    A, _, C, B = split2(g, dim)
-    return A, B, C
+    """Corners A, B, C of the PSD block G* G, for a 2*dim draw G of ``kind``."""
+    g = sample_matrix(rng, kind, 2 * dim)
+    g = g.conj().T @ g
+    return g[:dim, :dim], g[dim:, dim:], g[dim:, :dim]
 
 
 def _nonpsd_blocks(rng, dim):

@@ -29,7 +29,6 @@ from .linalg import (
     as_matrix,
     block2,
     herm_eig,
-    inner,
     is_hermitian,
     matrix_abs,
     matrix_power_psd,
@@ -351,11 +350,11 @@ def mixed_schwarz(T, x, y, alpha: float) -> BoundReport:
     yv = np.asarray(y, dtype=np.complex128).ravel()
     if xv.size != T.shape[1] or yv.size != T.shape[0]:
         raise DimensionMismatch("x must match cols(T) and y rows(T)")
-    z = abs(inner(T @ xv, yv))
+    z = float(abs(np.vdot(yv, T @ xv)))
     Pa = matrix_power_psd(matrix_abs(T), alpha)
     Pb = matrix_power_psd(matrix_abs(T.conj().T), 2.0 - alpha)
-    ra = max(float(np.real(inner(Pa @ xv, xv))), 0.0)
-    rb = max(float(np.real(inner(Pb @ yv, yv))), 0.0)
+    ra = max(float(np.vdot(xv, Pa @ xv).real), 0.0)
+    rb = max(float(np.vdot(yv, Pb @ yv).real), 0.0)
     # products, not powers: a side beyond the float range is inf, which
     # BoundReport rejects as NonFinite
     return BoundReport(name=f"mixed-schwarz-{alpha:g}", lhs=z * z, rhs=ra * rb)

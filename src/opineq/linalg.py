@@ -29,7 +29,6 @@ __all__ = [
     "HermEigen",
     "SvdFactors",
     "as_matrix",
-    "inner",
     "fro_norm",
     "spectral_norm",
     "is_hermitian",
@@ -40,7 +39,6 @@ __all__ = [
     "psd_verdict",
     "re_im_parts",
     "block2",
-    "split2",
 ]
 
 
@@ -65,15 +63,6 @@ def _require_square(T: np.ndarray) -> np.ndarray:
     if T.shape[-2] != T.shape[-1]:
         raise NotSquare(f"expected a square matrix, got shape {T.shape[-2:]}")
     return T
-
-
-def inner(x, y) -> complex:
-    """<x, y> = sum_i x_i * conj(y_i), linear in the first argument."""
-    xv = np.asarray(x, dtype=np.complex128).ravel()
-    yv = np.asarray(y, dtype=np.complex128).ravel()
-    if xv.shape != yv.shape:
-        raise DimensionMismatch("inner product needs vectors of equal length")
-    return complex(np.vdot(yv, xv))
 
 
 def fro_norm(T) -> float:
@@ -221,17 +210,3 @@ def block2(A, c_star, C, B) -> np.ndarray:
             f"off-diagonal blocks {C.shape}/{c_star.shape} do not conform with {A.shape}/{B.shape}"
         )
     return np.block([[A, c_star], [C, B]])
-
-
-def split2(T, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Extract (A, c_star, C, B) from a square block matrix, inverse of block2."""
-    T = _require_square(as_matrix(T))
-    N = T.shape[0]
-    if not 0 < n < N:
-        raise DimensionMismatch(f"split index {n} outside (0, {N})")
-    return (
-        T[:n, :n].copy(),
-        T[:n, n:].copy(),
-        T[n:, :n].copy(),
-        T[n:, n:].copy(),
-    )

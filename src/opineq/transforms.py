@@ -19,17 +19,15 @@ __all__ = ["PolarFactors", "AluthgeResult", "polar", "generalized_polar", "aluth
 
 @dataclass(frozen=True)
 class PolarFactors:
-    """Factorization T = u |T|**alpha.
+    """A polar factor ``u`` of T and ``abs_factor`` = |T|.
 
-    For alpha = 1, ``u`` is the partial isometry vanishing on null(|T|);
-    for alpha in (0, 1) it is the fractional factor with
+    From ``polar``, T = u |T| with u the partial isometry vanishing on
+    null(|T|); from ``generalized_polar(T, alpha)``, T = u |T|**alpha with
     u* u = |T|**(2(1-alpha)) and u |T|**beta = |T*|**beta u.
-    ``abs_factor`` always stores |T| itself.
     """
 
     u: np.ndarray
     abs_factor: np.ndarray
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ def polar(T) -> PolarFactors:
     smax = float(f.sigmas[0]) if f.sigmas.size else 0.0
     keep = f.sigmas > SIGMA_RTOL * smax
     U = f.left[:, keep] @ f.right[:, keep].conj().T
-    return PolarFactors(u=U, abs_factor=f.abs_factor(), alpha=1.0)
+    return PolarFactors(u=U, abs_factor=f.abs_factor())
 
 
 def generalized_polar(T, alpha: float) -> PolarFactors:
@@ -67,7 +65,7 @@ def generalized_polar(T, alpha: float) -> PolarFactors:
     T = as_matrix(T)
     f = svd(T)
     U = (f.left * f.sigmas ** (1.0 - alpha)) @ f.right.conj().T
-    return PolarFactors(u=U, abs_factor=f.abs_factor(), alpha=float(alpha))
+    return PolarFactors(u=U, abs_factor=f.abs_factor())
 
 
 def aluthge(T) -> AluthgeResult:

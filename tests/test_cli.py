@@ -11,8 +11,8 @@ import pytest
 
 from opineq import cli, conjecture, inequalities, radius
 from opineq.cli import main
-from opineq.ensembles import sample_matrix, trial_rng
-from opineq.fuzz import MATRIX_SUITE_NAMES, SUITES, run_suites
+from opineq.ensembles import KINDS, sample_matrix, trial_rng
+from opineq.fuzz import MATRIX_SUITE_NAMES, SUITE_NAMES, SUITES, run_suites
 from opineq.matio import load_matrix, loads_matrix, save_matrix
 from opineq.tables import reproduce_tables
 
@@ -197,19 +197,11 @@ def test_subcommands_sweep_only_their_one_grid(monkeypatch, capsys, matrix_file,
     assert kernel_grids and set(kernel_grids) == {expected.grid_points}
 
 
-def test_fuzz_gram_kind_majorization_runs(capsys):
-    # the gram kind yields a 2*dim matrix; the contraction must match it
-    assert main(["fuzz", "--suite", "majorization", "--dim", "3",
-                 "--kind", "gram-psd-block", "--count", "4"]) == 0
-    row = capsys.readouterr().out.strip().split("\r\n")[1].split(",")
-    assert row[:5] == ["majorization", "4", "8", "0", "0"]
-
-
 def test_fuzz_gram_kind_compression_tests_square_corners(capsys):
     # even trials draw the documented 2*dim gram block, so dim x dim corners
     # meet the range hypothesis; odd trials are rank-deficient by design
     assert main(["fuzz", "--suite", "compression", "--dim", "3",
-                 "--kind", "gram-psd-block", "--count", "20"]) == 0
+                 "--kind", "gaussian-complex", "--count", "20"]) == 0
     row = capsys.readouterr().out.strip().split("\r\n")[1].split(",")
     assert row[:5] == ["compression", "20", "10", "0", "10"]
 
@@ -258,6 +250,8 @@ def test_input_errors(tmp_path, capsys):
     # the pair count is 10 max(n, m)^2 and the integer range 0..10: no options either
     assert main(["positivity", str(good), str(good), str(good), "--samples", "5"]) == 2
     assert main(["fuzz", "--suite", "implicit", "--dim", "2", "--count", "1", "--int-range", "0", "10"]) == 2
+    # every suite that needs a PSD block draws its own Gram block from any kind
+    assert main(["fuzz", "--suite", "corner", "--dim", "2", "--count", "1", "--kind", "gram-psd-block"]) == 2
 
 
 def test_bounds_at_extreme_scale(tmp_path, capsys):
@@ -333,6 +327,18 @@ def test_readme_synopsis_names_every_option():
     declared = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
                 for name, p in _subcommands().items()}
     assert synopsis == declared
+
+
+def test_readme_lists_every_suite_and_kind():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def listed(label):
+        # the backticked names of the first sentence after the label, asides in parentheses dropped
+        sentence = re.split(r"\.\s", readme.split(label, 1)[1], maxsplit=1)[0]
+        return tuple(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", sentence)))
+
+    assert listed("Fuzz suites:") == SUITE_NAMES
+    assert listed("Ensemble kinds:") == KINDS
 
 
 def test_parser_owns_the_defaults():

@@ -24,11 +24,11 @@ def test_slack_hermitian_boundary():
 
 def test_small_campaign_deterministic_and_nonnegative():
     spec = EnsembleSpec(kind="integer-complex", dim=2, count=40, seed=3)
-    a = conjecture_search(spec, ascend_iters=2, keep=2, perturbations=10)
-    b = conjecture_search(spec, ascend_iters=2, keep=2, perturbations=10)
+    a = conjecture_search(spec, ascend_iters=1)
+    b = conjecture_search(spec, ascend_iters=1)
     assert a.min_slack == b.min_slack
     np.testing.assert_array_equal(a.argmin_matrix, b.argmin_matrix)
-    assert a.trials == 40 + 2 * 2 * 10
+    assert a.trials == 40 + 5 * 1 * 50
     scale = 1 + np.linalg.norm(a.argmin_matrix, 2)
     assert a.violated == (a.min_slack < -1e-7 * scale)
     assert not a.violated
@@ -119,8 +119,8 @@ def test_floor_prune_rejects_most_descent_trials(monkeypatch):
     pruned, below = [], radius.radius_below
     monkeypatch.setattr(radius, "radius_below", lambda T, level: pruned.append(below(T, level)) or pruned[-1])
     spec = EnsembleSpec(kind="integer-complex", dim=3, count=50, seed=1)
-    conjecture_search(spec, ascend_iters=4, keep=2, perturbations=50)
-    assert len(pruned) == 400
+    conjecture_search(spec, ascend_iters=2)
+    assert len(pruned) == 500
     assert sum(pruned) >= 0.7 * len(pruned)
 
 
@@ -130,13 +130,13 @@ def test_pruned_descent_equals_the_unpruned_run(monkeypatch, dim, kind):
     spec = EnsembleSpec(kind=kind, dim=dim, count=30, seed=11 + dim)
     pruned, below = [], radius.radius_below
     monkeypatch.setattr(radius, "radius_below", lambda T, level: pruned.append(below(T, level)) or pruned[-1])
-    a = conjecture_search(spec, ascend_iters=4, keep=2, perturbations=25)
+    a = conjecture_search(spec, ascend_iters=1)
     monkeypatch.setattr(radius, "radius_below", lambda T, level: False)
-    b = conjecture_search(spec, ascend_iters=4, keep=2, perturbations=25)
+    b = conjecture_search(spec, ascend_iters=1)
     assert a.min_slack.hex() == b.min_slack.hex()
     assert a.argmin_matrix.tobytes() == b.argmin_matrix.tobytes()
-    assert a.trials == b.trials == 30 + 2 * 4 * 25
-    assert len(pruned) == 200 and any(pruned)
+    assert a.trials == b.trials == 30 + 5 * 1 * 50
+    assert len(pruned) == 250 and any(pruned)
 
 
 def test_descent_makes_fewer_kernel_calls_than_trials(kernel_calls):
@@ -145,13 +145,18 @@ def test_descent_makes_fewer_kernel_calls_than_trials(kernel_calls):
     conjecture_search(spec, ascend_iters=0)
     scan_and_verify = len(kernel_calls)
     kernel_calls.clear()
-    result = conjecture_search(spec, ascend_iters=4, keep=2, perturbations=50)
+    result = conjecture_search(spec, ascend_iters=2)
     descent_trials = result.trials - spec.count
-    assert descent_trials == 400
+    assert descent_trials == 500
     assert (len(kernel_calls) - scan_and_verify) / descent_trials < 1.2
 
 
-@pytest.mark.parametrize("knob", [{"keep": 0}, {"keep": -1}, {"perturbations": -5}, {"ascend_iters": -1}])
+# The ids keep the names of the cases this test had when it also covered
+# the keep= and perturbations= parameters, which are now module constants.
+@pytest.mark.parametrize(
+    "knob",
+    [pytest.param({"ascend_iters": -10}, id="knob0"), pytest.param({"ascend_iters": -1}, id="knob3")],
+)
 def test_search_knobs_out_of_range_raise(knob):
     spec = EnsembleSpec(kind="integer-complex", dim=2, count=3, seed=1)
     with pytest.raises(InvalidSpec, match=next(iter(knob))):

@@ -39,13 +39,6 @@ def test_integer_real_kind():
     assert np.all(T.imag == 0)
 
 
-def test_gram_kind_is_psd_block():
-    T = sample_matrix(trial_rng(2, 0), "gram-psd-block", 3)
-    assert T.shape == (6, 6)
-    w = np.linalg.eigvalsh((T + T.conj().T) / 2)
-    assert w[0] >= -1e-10 * (1 + w[-1])
-
-
 def test_unit_disc_entries():
     T = sample_matrix(trial_rng(3, 0), "unit-disc", 50)
     assert np.abs(T).max() <= 1.0
@@ -58,6 +51,20 @@ def test_invalid_specs():
         EnsembleSpec(kind="integer-real", dim=0, count=1, seed=0)
     with pytest.raises(InvalidSpec):
         EnsembleSpec(kind="integer-real", dim=2, count=0, seed=0)
+
+
+@pytest.mark.parametrize("field, value", [("dim", 2.5), ("count", 3.5), ("seed", 1.5), ("seed", "1"), ("dim", None)])
+def test_non_integer_sizes_and_seeds_are_invalid(field, value):
+    # a float seed would otherwise be truncated to an integer one without a word
+    sizes = {"dim": 2, "count": 3, "seed": 1, field: value}
+    with pytest.raises(InvalidSpec, match=field):
+        EnsembleSpec(kind="integer-complex", **sizes)
+
+
+def test_integer_like_sizes_and_seeds_are_stored_as_ints():
+    spec = EnsembleSpec(kind="integer-complex", dim=np.int64(2), count=np.uint8(3), seed=np.int32(-4))
+    assert [type(getattr(spec, f)) for f in ("dim", "count", "seed")] == [int, int, int]
+    assert spec == EnsembleSpec(kind="integer-complex", dim=2, count=3, seed=-4)
 
 
 def test_unit_disc_is_an_ensemble_kind():

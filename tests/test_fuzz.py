@@ -60,7 +60,7 @@ def test_worst_slack_tracks_inputs():
     assert summary.worst_name.startswith("half-diff")
 
 
-@pytest.mark.parametrize("kind", ["integer-complex", "gram-psd-block"])
+@pytest.mark.parametrize("kind", ["integer-complex", "gaussian-complex"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_run_suites_equals_one_run_suite_per_name(dim, kind):
     # run_suites on one name runs one suite per index, so nothing is shared

@@ -190,7 +190,7 @@ def test_off_diag_radius_against_dense_svd_grid(off_diag_identity):
         off_diag_identity(random_complex(rng, p, q), random_complex(rng, p, q))
 
 
-def test_sup_theta_norm_against_dense_svd_grid(off_diag_identity):
+def test_off_diag_identity_holds_for_a_block_and_its_adjoint(off_diag_identity):
     # both [[0, X], [Y*, 0]] and its adjoint [[0, Y], [X*, 0]], as w(T*) = w(T)
     rng = np.random.default_rng(13)
     for _ in range(20):
