@@ -38,9 +38,11 @@ from .inequalities import (
     radius_upper_reports,
 )
 from .linalg import (
+    Contraction,
     HermEigen,
     SvdFactors,
     block2,
+    contraction,
     fro_norm,
     herm_eig,
     matrix_abs,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .conjecture import conjecture_search, half_diff_slack
-from .ensembles import KINDS, EnsembleSpec, trial_rng
+from .ensembles import KINDS, EnsembleSpec
 from .errors import OpineqError
 from .fuzz import MATRIX_SUITE_NAMES, SUITE_NAMES, SUITES, run_suites
 from .inequalities import block_positivity
@@ -66,9 +66,7 @@ def cmd_bounds(args) -> int:
         raise OpineqError(f"suite {unknown[0]!r} is not available here; choose from "
                           f"{MATRIX_SUITE_NAMES} (block-input suites run under `fuzz`)")
     with radius_memo():
-        # every suite that samples vectors draws them from stream (seed, 0)
-        reports = [r for s in args.suite
-                   for r in SUITES[s].on_matrix(T, trial_rng(args.seed, 0))]
+        reports = [r for s in args.suite for r in SUITES[s].on_matrix(T)]
     if args.format == "json":
         _emit(reports_json(reports) + "\n", args.out)
     else:
@@ -96,8 +94,8 @@ def cmd_tables(args) -> int:
 
 def cmd_positivity(args) -> int:
     A, B, C = (load_matrix(path) for path in (args.A, args.B, args.C))
-    verdict = block_positivity(A, B, C, seed=args.seed)
-    names = ("is_psd", "min_eig", "schur_residual", "condition_ii_max_ratio", "sampled_pairs")
+    verdict = block_positivity(A, B, C)
+    names = ("is_psd", "min_eig", "schur_residual", "condition_ii_max_ratio")
     _emit_quantities([(q, getattr(verdict, q)) for q in names], args)
     return 0 if verdict.consistent else 1
 
@@ -124,10 +122,8 @@ def cmd_conjecture(args) -> int:
     return 1 if result.violated else 0
 
 
-def _add_common(p, seed=None, formats=("csv", "md"), out_help="write output to this file") -> None:
-    """--seed (if seed is given), --format and --out."""
-    if seed is not None:
-        p.add_argument("--seed", type=int, default=seed, help="seed for sampled vectors")
+def _add_common(p, formats=("csv", "md"), out_help="write output to this file") -> None:
+    """--format and --out."""
     p.add_argument("--format", choices=formats, default="csv")
     p.add_argument("--out", help=out_help)
 
@@ -153,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--suite", required=True, type=_suite_list,
                    help="comma-separated: " + ",".join(MATRIX_SUITE_NAMES))
-    _add_common(p, seed=0, formats=("csv", "md", "json"))
+    _add_common(p, formats=("csv", "md", "json"))
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("tables", help="recompute the golden comparison tables")
@@ -163,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("positivity", help="block positivity by three routes")
     for name in ("A", "B", "C"):
         p.add_argument(name)
-    _add_common(p, seed=0)
+    _add_common(p)
     p.set_defaults(func=cmd_positivity)
 
     p = sub.add_parser("fuzz", help="run inequality suites over a random ensemble")

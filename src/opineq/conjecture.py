@@ -18,7 +18,7 @@ from itertools import islice
 import numpy as np
 
 from . import radius
-from .ensembles import EnsembleSpec, generate, trial_rng
+from .ensembles import EnsembleSpec, _as_int, generate, trial_rng
 from .errors import InvalidSpec
 from .inequalities import _half_diff_matrices
 from .linalg import as_matrix, spectral_norm
@@ -91,6 +91,7 @@ def conjecture_search(spec: EnsembleSpec, ascend_iters: int = 10) -> ConjectureR
     rejected by a level test on a grid floor of w(T), with the same decisions.
     Deterministic for a fixed spec.
     """
+    ascend_iters = _as_int("ascend_iters", ascend_iters)
     if ascend_iters < 0:
         raise InvalidSpec(f"ascend_iters must be >= 0, got {ascend_iters}")
     candidates = heapq.nsmallest(KEEP, _scan(spec), key=lambda pair: pair[0])

@@ -38,15 +38,19 @@ class EnsembleSpec:
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown ensemble kind {self.kind!r}; choose from {KINDS}")
         for name in ("dim", "count", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.dim < 1:
             raise InvalidSpec("dim must be >= 1")
         if self.count < 1:
             raise InvalidSpec("count must be >= 1")
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as a plain int, read through ``operator.index``; else InvalidSpec naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:

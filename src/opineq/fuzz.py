@@ -17,6 +17,7 @@ from .ensembles import EnsembleSpec, sample_matrix, trial_rng
 from .inequalities import (
     BoundReport,
     _check_block_psd,
+    _unit_scale,
     aluthge_bound_reports,
     beta_chain_reports,
     block_pair_report,
@@ -28,7 +29,7 @@ from .inequalities import (
     mixed_schwarz,
     radius_upper_reports,
 )
-from .linalg import spectral_norm
+from .linalg import contraction, matrix_abs, matrix_power_psd, spectral_norm
 from .radius import radius_memo
 
 MIXED_SCHWARZ_ALPHAS = tuple(0.25 * k for k in range(9))
@@ -50,11 +51,6 @@ class SuiteSummary:
     @property
     def passed(self) -> bool:
         return self.violations == 0
-
-
-def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return v / np.linalg.norm(v)
 
 
 def _gram_blocks(rng, dim, kind):
@@ -83,14 +79,14 @@ def _nonpsd_blocks(rng, dim):
 def _single_matrix_suite(on_matrix):
     """A suite whose input is one square matrix T, drawn per trial.
 
-    ``on_matrix(T, rng)`` gives the reports for T; it is kept as the
+    ``on_matrix(T)`` gives the reports for T; it is kept as the
     suite's ``on_matrix`` attribute so that ``opineq bounds`` runs the
     same rule on a given matrix.
     """
 
     def run(rng, spec: EnsembleSpec, index: int):
         T = sample_matrix(rng, spec.kind, spec.dim)
-        return on_matrix(T, rng), {"T": T}
+        return on_matrix(T), {"T": T}
 
     run.on_matrix = on_matrix
     return run
@@ -102,12 +98,18 @@ def _suite_block_pair(rng, spec, index):
     return [block_pair_report(A, B)], {"A": A, "B": B}
 
 
-def _mixed_schwarz_reports(T, rng):
-    """mixed_schwarz at every alpha in MIXED_SCHWARZ_ALPHAS, for unit x and
-    then unit y drawn from rng."""
-    x = _unit(rng, T.shape[1])
-    y = _unit(rng, T.shape[0])
-    return [mixed_schwarz(T, x, y, a) for a in MIXED_SCHWARZ_ALPHAS]
+def _mixed_schwarz_reports(T):
+    """mixed_schwarz at each alpha in MIXED_SCHWARZ_ALPHAS at the extremal pair of the PSD block
+    [[|T|**a, T*], [T, |T*|**(2-a)]]: sides ||K||^2 and 1, both 1 for T != 0 (K is the polar
+    partial isometry), and reversed as the sharpness report.  On p T, p = _unit_scale(T)."""
+    T = _unit_scale(T) * T
+    absT, absTs = matrix_abs(T), matrix_abs(T.conj().T)
+    reports = []
+    for a in MIXED_SCHWARZ_ALPHAS:
+        k = contraction(matrix_power_psd(absT, a), T, matrix_power_psd(absTs, 2.0 - a))
+        rep = mixed_schwarz(T, k.u, k.v, a)
+        reports += [rep, BoundReport(f"mixed-schwarz-sharp-{a:g}", rep.rhs, rep.lhs, rep.tol)]
+    return reports
 
 
 def _suite_corner(rng, spec, index):
@@ -135,14 +137,17 @@ def _suite_compression(rng, spec, index):
 
 def _suite_majorization(rng, spec, index):
     S = sample_matrix(rng, spec.kind, spec.dim)
+    if index % 8 < 2:
+        # rank-deficient S on a quarter of the indices: range inclusion holds
+        # under the contraction construction and fails for a random T
+        S[:, -1] = 0.0
     if index % 2 == 0:
         # contraction construction: T T* <= S S* holds by design
         d = rng.uniform(0.0, 1.0, size=S.shape[1])
         T = S @ np.diag(d).astype(np.complex128)
     else:
         T = sample_matrix(rng, spec.kind, spec.dim)
-    one, two = majorization_equiv(T, S, seed=int(rng.integers(0, 2**62)))
-    return [one, two], {"T": T, "S": S}
+    return list(majorization_equiv(T, S)), {"T": T, "S": S}
 
 
 def _suite_positivity(rng, spec, index):
@@ -150,42 +155,27 @@ def _suite_positivity(rng, spec, index):
     reports so violations surface like any other suite."""
     if index % 2 == 0:
         A, B, C = _gram_blocks(rng, spec.dim, spec.kind)
-        verdict = block_positivity(A, B, C, seed=int(rng.integers(0, 2**62)))
-        ratio = verdict.condition_ii_max_ratio
-        if not math.isfinite(ratio):
-            ratio = 2.0
-        reports = [
-            BoundReport(name="gram-ratio-le-one", lhs=ratio, rhs=1.0, tol=1e-6),
-            BoundReport(
-                name="gram-block-psd",
-                lhs=0.0 if verdict.is_psd else 1.0,
-                rhs=0.0,
-                tol=0.5,
-            ),
+        verdict = block_positivity(A, B, C)
+        reports = [  # an infinite ratio (C outside the corners' ranges) reads as 2
+            BoundReport("gram-ratio-le-one", min(verdict.condition_ii_max_ratio, 2.0), 1.0, 1e-6),
+            BoundReport("gram-block-psd", 0.0 if verdict.is_psd else 1.0, 0.0, 0.5),
         ]
     else:
         A, B, C = _nonpsd_blocks(rng, spec.dim)
-        verdict = block_positivity(A, B, C, seed=int(rng.integers(0, 2**62)))
+        verdict = block_positivity(A, B, C)
         detected = not verdict.is_psd and verdict.consistent
-        reports = [
-            BoundReport(
-                name="nonpsd-detected",
-                lhs=0.0 if detected else 1.0,
-                rhs=0.0,
-                tol=0.5,
-            )
-        ]
+        reports = [BoundReport("nonpsd-detected", 0.0 if detected else 1.0, 0.0, 0.5)]
     return reports, {"A": A, "B": B, "C": C}
 
 
 # The only suite dispatch: `fuzz` calls every suite, `bounds` the
 # ``on_matrix`` rule of the single-matrix ones.
 SUITES = {
-    "half-diff": _single_matrix_suite(lambda T, rng: half_difference_reports(T)),
+    "half-diff": _single_matrix_suite(half_difference_reports),
     "block-pair": _suite_block_pair,
-    "implicit": _single_matrix_suite(lambda T, rng: radius_upper_reports(T)),
-    "beta-chain": _single_matrix_suite(lambda T, rng: beta_chain_reports(T)),
-    "aluthge": _single_matrix_suite(lambda T, rng: aluthge_bound_reports(T)),
+    "implicit": _single_matrix_suite(radius_upper_reports),
+    "beta-chain": _single_matrix_suite(beta_chain_reports),
+    "aluthge": _single_matrix_suite(aluthge_bound_reports),
     "mixed-schwarz": _single_matrix_suite(_mixed_schwarz_reports),
     "corner": _suite_corner,
     "compression": _suite_compression,

@@ -4,7 +4,8 @@ Every bound is evaluated into a BoundReport carrying both sides, the
 slack rhs - lhs, and a tolerance; ``holds`` means slack >= -tol.  A report
 built without a tolerance takes ``default_tol``, 1e-8 * (1 + |rhs|),
 wide enough to absorb eigensolver error stacking through nested radius
-computations; only majorization and the positivity suite set their own.
+computations; only majorization, the positivity suite and mixed_schwarz
+(which adds its corners' rounding) set their own.
 Sides that are not finite floats raise NonFinite.
 """
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import trial_rng
 from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
@@ -28,6 +28,8 @@ from .linalg import (
     _require_square,
     as_matrix,
     block2,
+    contraction,
+    fro_norm,
     herm_eig,
     is_hermitian,
     matrix_abs,
@@ -107,8 +109,8 @@ class PositivityVerdict:
     """Outcome of the three-route block positivity check.
 
     ``is_psd`` comes from the eigenvalue route; ``condition_ii_max_ratio``
-    is the best found value of |<Cu,v>|^2 / (<Au,u> <Bv,v>), which exceeds
-    1 exactly when the inner-product characterization fails; the Schur
+    is the supremum of |<Cu,v>|^2 / (<Au,u> <Bv,v>), which exceeds 1 exactly
+    when the inner-product characterization fails; the Schur
     residual is the minimum eigenvalue of B - C (A + eps I)^(-1) C*.
     ``psd_tol`` = 1e-9 * (1 + max(||A||, ||B||)) is the Schur residual's
     PSD tolerance, and ``consistent`` says whether the routes agree.
@@ -118,7 +120,6 @@ class PositivityVerdict:
     min_eig: float
     schur_residual: float
     condition_ii_max_ratio: float
-    sampled_pairs: int
     psd_tol: float
 
     @property
@@ -146,161 +147,76 @@ def _require_hermitian(M: np.ndarray, what: str) -> np.ndarray:
     return (M + M.conj().T) / 2.0
 
 
-# Pairs drawn and scored at a time: bounds memory for large blocks.
-_PAIRS_PER_DRAW = 1024
-
-
-def _pair_ratios(A, B, C, U, V, eps: float) -> np.ndarray:
-    """|<Cu,v>|^2 / (<Au,u> <Bv,v>) for each row pair (u, v) of U and V; a
-    denominator <= eps gives inf, or 0 when the numerator is also <= eps."""
-    num = np.abs(np.einsum("kj,kj->k", V.conj(), U @ C.T)) ** 2
-    den = np.einsum("ki,ki->k", U.conj(), U @ A.T).real
-    den *= np.einsum("kj,kj->k", V.conj(), V @ B.T).real
-    ratios = np.where(num > eps, np.inf, 0.0)
-    return np.divide(num, den, out=ratios, where=den > eps)
-
-
-def _solve_unit(M, x, fallback):
-    """The unit vector along M^-1 x, or ``fallback`` when x or M^-1 x is zero."""
-    if np.linalg.norm(x) > 0:
-        y = np.linalg.solve(M, x)
-        ny = np.linalg.norm(y)
-        if ny > 0:
-            return y / ny
-    return fallback
-
-
-def block_positivity(A, B, C, seed: int = 0) -> PositivityVerdict:
+def block_positivity(A, B, C) -> PositivityVerdict:
     """Check positivity of [[A, C*], [C, B]] by three routes.
 
     Eigenvalue route: minimum eigenvalue of the assembled block.
-    Inner-product route: maximize |<Cu,v>|^2 / (<Au,u> <Bv,v>) over
-    10 max(n, m)^2 sampled unit pairs plus 20 alternating ascent steps
-    (regularized solves); the block is PSD exactly when it never exceeds 1.
+    Inner-product route: the supremum of |<Cu,v>|^2 / (<Au,u> <Bv,v>), which is
+    ||B^(+1/2) C A^(+1/2)||^2 from ``contraction`` when both corners are PSD and
+    C = P_B C P_A, and inf otherwise; the block is PSD exactly when it is <= 1.
     Schur route: negativity of B - C (A + eps I)^(-1) C*.
     """
     A = _require_hermitian(as_matrix(A), "A")
     B = _require_hermitian(as_matrix(B), "B")
     C = as_matrix(C)
-    n, m = A.shape[0], B.shape[0]
-    if C.shape != (m, n):
-        raise DimensionMismatch(f"C must be {m}x{n}, got {C.shape}")
-
-    is_psd, min_eig, _ = _check_block_psd(A, B, C)
+    is_psd, min_eig, _ = _check_block_psd(A, B, C)  # DimensionMismatch if C does not conform
     norm_a, norm_b = spectral_norm(A), spectral_norm(B)
 
-    A_eps = A + 1e-8 * (1.0 + norm_a) * np.eye(n)
+    A_eps = A + 1e-8 * (1.0 + norm_a) * np.eye(A.shape[0])
     schur = B - C @ np.linalg.solve(A_eps, C.conj().T)
     # rounding in solve can leave an anti-Hermitian part above herm_eig's
     # tolerance when C is large; symmetrize exactly as herm_eig does
     schur = (schur + schur.conj().T) / 2.0
     schur_residual = float(herm_eig(schur).values[0])
 
-    scale = 1.0 + max(norm_a, norm_b, spectral_norm(C))
-    B_eps = B + 1e-8 * (1.0 + norm_b) * np.eye(m)
-    # The ratio is unchanged when A, B and C scale together, so its route
-    # runs on everything scaled by the power of two p2 ~ 1/scale: exact,
-    # and no product of two entries can overflow.
-    p2 = math.ldexp(1.0, -math.frexp(scale)[1])
-    A, B, C, A_eps, B_eps = (p2 * M for M in (A, B, C, A_eps, B_eps))
-    eps_ratio = 1e-14 * (p2 * scale) * (p2 * scale)
-
-    n_samples = 10 * max(n, m) ** 2
-    rng = trial_rng(seed, 0)
-
-    # Each row of a draw is one pair (Re u, Im u, Re v, Im v): the same
-    # stream order as drawing the four vectors pair by pair.
-    for start in range(0, n_samples, _PAIRS_PER_DRAW):
-        z = rng.normal(size=(min(_PAIRS_PER_DRAW, n_samples - start), 2 * (n + m)))
-        U = z[:, :n] + 1j * z[:, n : 2 * n]
-        V = z[:, 2 * n : 2 * n + m] + 1j * z[:, 2 * n + m :]
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
-        ratios = _pair_ratios(A, B, C, U, V, eps_ratio)
-        k = int(np.argmax(ratios))
-        if start == 0 or ratios[k] > best:
-            best, u, v = float(ratios[k]), U[k], V[k]
-
-    for _ in range(20):
-        v = _solve_unit(B_eps, C @ u, v)
-        u = _solve_unit(A_eps, C.conj().T @ v, u)
-        best = max(best, float(_pair_ratios(A, B, C, u[None], v[None], eps_ratio)[0]))
+    try:
+        k = contraction(A, C, B)
+        ratio = k.norm**2 if k.in_range else math.inf
+    except NotPSD:
+        ratio = math.inf
 
     return PositivityVerdict(
         is_psd=is_psd,
         min_eig=min_eig,
         schur_residual=schur_residual,
-        condition_ii_max_ratio=best,
-        sampled_pairs=n_samples,
+        condition_ii_max_ratio=ratio,
         psd_tol=1e-9 * (1.0 + max(norm_a, norm_b)),
     )
 
 
-def majorization_equiv(T, S, seed: int = 0) -> tuple[BoundReport, BoundReport]:
-    """Both directions of: T T* <= S S*  iff  ||T* x|| <= ||S* x|| for all x.
+def majorization_equiv(T, S) -> tuple[BoundReport, BoundReport, BoundReport]:
+    """Both directions of Douglas's lemma: T T* <= S S* iff T = S K with ||K|| <= 1.
 
-    Direction one goes from the operator order (eigenvalue route) to
-    sampled vectors; direction two goes from a sampled-and-ascended vector
-    maximum back to the operator order.  A direction whose premise fails
-    is reported as vacuously holding, with the premise recorded in the
-    witness.
+    K = (S S*)^(+1/2) T from ``contraction(I, T, S S*)`` has the norm of the least-norm
+    solution S^+ T.  Direction one goes from the operator order (eigenvalue route) to
+    ||K|| <= 1 and to range(T) in range(S), a report each; direction two goes from these
+    back to min eig(S S* - T T*) >= -tol.  A direction whose premise fails is reported
+    as vacuously holding, with the premise recorded in the witness.
     """
     T, S = as_matrix(T), as_matrix(S)
     if T.shape[0] != S.shape[0]:
         raise DimensionMismatch("T and S must share their row dimension")
-    k = T.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        M = S @ S.conj().T - T @ T.conj().T
+        SS = S @ S.conj().T
+        M = SS - T @ T.conj().T
     if not np.isfinite(M).all():
         raise NonFinite("majorization: S S* - T T* exceeds the float range")
     m_min = float(herm_eig(M).values[0])
+    k = contraction(np.eye(T.shape[1]), T, SS)
+    scale = 1.0 + spectral_norm(T) ** 2 + spectral_norm(S) ** 2
 
-    norm_t, norm_s = spectral_norm(T), spectral_norm(S)
-    scale = 1.0 + norm_t**2 + norm_s**2
-    tol_order = 1e-9 * scale
-    tol_vec = 1e-8 * (1.0 + norm_t + norm_s)
-
-    rng = trial_rng(seed, 1)
-    shape = (40, k)  # 40 sampled vectors
-    xs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-
-    norm_diffs = np.linalg.norm(xs.conj() @ T, axis=1) - np.linalg.norm(xs.conj() @ S, axis=1)
-    sq_diffs = -np.real(np.einsum("ij,jk,ik->i", xs.conj(), M, xs))
-    best_idx = int(np.argmax(sq_diffs))
-
-    # Ascend x*(TT* - SS*)x by shifted power iteration (eigensolver-free,
-    # keeps this route independent of the operator-order route), on
-    # p (TT* - SS*) with p = _unit_scale(M): the same iterates, and no norm overflows.
-    x = xs[best_idx].copy()
-    p = _unit_scale(M)
-    Mneg = -p * M
-    shift = p + float(np.linalg.norm(Mneg))
-    for _ in range(50):
-        y = Mneg @ x + shift * x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            break
-        x = y / ny
-    ascended = max(float(np.max(sq_diffs)), float(np.real(np.vdot(x, Mneg @ x))) / p)
-
-    premise_one = m_min >= -tol_order
-    rep_one = BoundReport(
-        name="majorization-order-to-vectors",
-        lhs=float(np.max(norm_diffs)) if premise_one else 0.0,
-        rhs=0.0,
-        tol=tol_vec,
-        witness={"premise_holds": premise_one, "min_eig": m_min},
+    premise_one = m_min >= -1e-9 * scale
+    one = {"premise_holds": premise_one, "min_eig": m_min}
+    premise_two = k.norm**2 <= 1.0 + 1e-7 and k.in_range
+    two = {"premise_holds": premise_two, "norm": k.norm, "range_residual": k.range_residual}
+    return (
+        BoundReport("majorization-order-to-contraction",
+                    k.norm**2 if premise_one else 0.0, 1.0, 1e-7, one),
+        BoundReport("majorization-order-to-range",
+                    k.range_residual if premise_one else 0.0, 0.0, k.range_tol, one),
+        BoundReport("majorization-contraction-to-order",
+                    -m_min if premise_two else 0.0, 0.0, 1e-7 * scale, two),
     )
-    premise_two = ascended <= tol_order
-    rep_two = BoundReport(
-        name="majorization-vectors-to-order",
-        lhs=-m_min if premise_two else 0.0,
-        rhs=0.0,
-        tol=1e-7 * scale,
-        witness={"premise_holds": premise_two, "max_sq_diff": ascended},
-    )
-    return rep_one, rep_two
 
 
 def _check_block_psd(A, B, C) -> tuple[bool, float, float]:
@@ -355,9 +271,14 @@ def mixed_schwarz(T, x, y, alpha: float) -> BoundReport:
     Pb = matrix_power_psd(matrix_abs(T.conj().T), 2.0 - alpha)
     ra = max(float(np.vdot(xv, Pa @ xv).real), 0.0)
     rb = max(float(np.vdot(yv, Pb @ yv).real), 0.0)
+    # At a pair tuned to the computed corners, as ``contraction``'s extremal pair is, the
+    # sides carry the corners' rounding, ~eps ||Pa|| |x|^2 and ~eps ||Pb|| |y|^2 relative.
+    xx, yy = float(np.vdot(xv, xv).real), float(np.vdot(yv, yv).real)
+    rounding = 1e-14 * (fro_norm(Pa) * xx * rb + ra * fro_norm(Pb) * yy)
     # products, not powers: a side beyond the float range is inf, which
     # BoundReport rejects as NonFinite
-    return BoundReport(name=f"mixed-schwarz-{alpha:g}", lhs=z * z, rhs=ra * rb)
+    return BoundReport(name=f"mixed-schwarz-{alpha:g}", lhs=z * z, rhs=ra * rb,
+                       tol=default_tol(ra * rb) + rounding)
 
 
 def _abs_pair(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,10 +24,15 @@ from .errors import (
 # Eigenvalues at or below RANK_RTOL times the largest one are treated as
 # exact zeros when powering (0**0 := 0 spectral convention).
 RANK_RTOL = 1e-14
+# The range cut: ``polar`` drops singular values at or below SIGMA_RTOL times the
+# largest, so its factor vanishes on null(|T|), and ``contraction`` drops PSD
+# eigenvalues the same way.
+SIGMA_RTOL = 1e-10
 
 __all__ = [
     "HermEigen",
     "SvdFactors",
+    "Contraction",
     "as_matrix",
     "fro_norm",
     "spectral_norm",
@@ -36,6 +41,7 @@ __all__ = [
     "svd",
     "matrix_abs",
     "matrix_power_psd",
+    "contraction",
     "psd_verdict",
     "re_im_parts",
     "block2",
@@ -162,6 +168,16 @@ def psd_verdict(values: np.ndarray) -> tuple[bool, float, float]:
     return min_eig >= -1e-9 * (1.0 + norm), min_eig, norm
 
 
+def _psd_eig(P) -> tuple[np.ndarray, np.ndarray, float]:
+    """Ascending eigenvalues, clamped at 0, and eigenvectors of a PSD P, and its norm;
+    NotPSD for an eigenvalue below -1e-9*(1+||P||)."""
+    e = herm_eig(P)
+    is_psd, min_eig, norm = psd_verdict(e.values)
+    if not is_psd:
+        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below PSD tolerance")
+    return np.clip(e.values, 0.0, None), e.vectors, norm
+
+
 def matrix_power_psd(P, alpha: float) -> np.ndarray:
     """P**alpha for PSD P and real alpha >= 0, by spectral calculus.
 
@@ -172,12 +188,7 @@ def matrix_power_psd(P, alpha: float) -> np.ndarray:
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    e = herm_eig(P)
-    w, V = e.values.copy(), e.vectors
-    is_psd, min_eig, _ = psd_verdict(w)
-    if not is_psd:
-        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below PSD tolerance")
-    w = np.clip(w, 0.0, None)
+    w, V, _ = _psd_eig(P)
     w[w <= RANK_RTOL * float(w[-1])] = 0.0
     with np.errstate(over="ignore"):
         powered = np.where(w > 0.0, w, 1.0) ** alpha
@@ -186,6 +197,43 @@ def matrix_power_psd(P, alpha: float) -> np.ndarray:
     powered[w == 0.0] = 0.0
     R = (V * powered) @ V.conj().T
     return (R + R.conj().T) / 2.0
+
+
+@dataclass(frozen=True)
+class Contraction:
+    """K = Q^(+1/2) X P^(+1/2) for PSD P and Q (^+: pseudo-inverse), and its extremal pair:
+    <Pu,u> = <Qv,v> = 1 and <Xu,v> = ``norm`` = ||K|| (zero vectors if P or Q is 0).
+    [[P, X*], [X, Q]] is PSD exactly when norm <= 1 and ``in_range``; the supremum of
+    |<Xu,v>|^2 / (<Pu,u> <Qv,v>) is then norm**2, and otherwise it is infinite."""
+
+    norm: float
+    u: np.ndarray
+    v: np.ndarray
+    range_residual: float  # ||X - P_Q X P_P||, P_M the projection onto range(M)
+    range_tol: float  # sqrt(SIGMA_RTOL ||P|| ||Q||): what a PSD block allows on cut eigenvectors
+
+    @property
+    def in_range(self) -> bool:
+        return self.range_residual <= self.range_tol
+
+
+def contraction(P, X, Q) -> Contraction:
+    """The ``Contraction`` of an m x n X between PSD P (n x n) and Q (m x m); K is formed
+    on the eigenvectors kept by the range cut, eigenvalues above SIGMA_RTOL * ||P||."""
+    X = as_matrix(X)
+    (p, V, norm_p), (q, W, norm_q) = _psd_eig(P), _psd_eig(Q)
+    if X.shape != (q.size, p.size):
+        raise DimensionMismatch(f"X must be {q.size}x{p.size}, got {X.shape}")
+    u, v = np.zeros(p.size, np.complex128), np.zeros(q.size, np.complex128)
+    keep_p, keep_q = p > SIGMA_RTOL * norm_p, q > SIGMA_RTOL * norm_q
+    rp, V, rq, W = np.sqrt(p[keep_p]), V[:, keep_p], np.sqrt(q[keep_q]), W[:, keep_q]
+    Y = W.conj().T @ X @ V
+    norm = 0.0
+    if Y.size:
+        f = svd(Y / rq[:, None] / rp)
+        norm, u, v = float(f.sigmas[0]), V @ (f.right[:, 0] / rp), W @ (f.left[:, 0] / rq)
+    residual = spectral_norm(X - W @ Y @ V.conj().T)
+    return Contraction(norm, u, v, residual, float(np.sqrt(SIGMA_RTOL * norm_p) * np.sqrt(norm_q)))
 
 
 def re_im_parts(T) -> tuple[np.ndarray, np.ndarray]:

@@ -8,11 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaOutOfRange, NotSquare
-from .linalg import as_matrix, matrix_power_psd, svd
-
-# Singular values at or below this fraction of the largest are rank-cut,
-# so the polar factor vanishes on null(|T|) and is unique.
-SIGMA_RTOL = 1e-10
+from .linalg import SIGMA_RTOL, as_matrix, matrix_power_psd, svd
 
 __all__ = ["PolarFactors", "AluthgeResult", "polar", "generalized_polar", "aluthge"]
 

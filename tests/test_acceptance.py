@@ -43,7 +43,7 @@ from opineq import (
     svd,
 )
 from opineq.ensembles import sample_matrix, trial_rng
-from opineq.fuzz import MIXED_SCHWARZ_ALPHAS
+from opineq.fuzz import MIXED_SCHWARZ_ALPHAS, SUITES
 from opineq.matio import matrix_from_dict
 from opineq.tables import TABLE_TOL
 
@@ -169,8 +169,10 @@ def test_criterion_3_theorem_fuzz_suite():
         T = sample_matrix(rng, "unit-disc", n)
         x = random_complex(rng, n, 1).ravel()
         y = random_complex(rng, n, 1).ravel()
-        for alpha in MIXED_SCHWARZ_ALPHAS:
-            rep = mixed_schwarz(T, x, y, alpha)
+        reports = [mixed_schwarz(T, x, y, alpha) for alpha in MIXED_SCHWARZ_ALPHAS]
+        # the suite's rule: equality at the extremal pair, and the sharpness 1 <= ||K||^2
+        reports += SUITES["mixed-schwarz"].on_matrix(T)
+        for rep in reports:
             if not rep.holds:
                 viol.append((i, rep.name, rep.slack))
     failures["mixed-schwarz"] = viol
@@ -191,11 +193,13 @@ def test_criterion_3_theorem_fuzz_suite():
         rng = trial_rng(308, i)
         n = (i % 4) + 1
         S = sample_matrix(rng, "unit-disc", n)
+        if i % 8 < 2:
+            S[:, -1] = 0.0  # Douglas's range inclusion holds, then fails
         if i % 2 == 0:
             T = S @ np.diag(rng.uniform(0, 1, size=n)).astype(complex)
         else:
             T = sample_matrix(rng, "unit-disc", n)
-        for rep in majorization_equiv(T, S, seed=i):
+        for rep in majorization_equiv(T, S):
             if not rep.holds:
                 viol.append((i, rep.name, rep.slack))
     failures["majorization"] = viol
@@ -207,7 +211,7 @@ def test_criterion_3_theorem_fuzz_suite():
         g = random_complex(rng, 2 * n)
         G = g.conj().T @ g
         A, B = G[:n, :n], G[n:, n:]
-        v = block_positivity(A, B, G[n:, :n], seed=i)
+        v = block_positivity(A, B, G[n:, :n])
         if not (v.is_psd and v.consistent):
             viol.append((i, "gram", v.condition_ii_max_ratio))
     for i in range(200):
@@ -222,7 +226,7 @@ def test_criterion_3_theorem_fuzz_suite():
             if float(np.linalg.eigvalsh((block + block.conj().T) / 2)[0]) < -1e-4 * scale:
                 break
             C = 2 * C
-        v = block_positivity(A, B, C, seed=i)
+        v = block_positivity(A, B, C)
         if v.is_psd or not v.consistent:
             viol.append((i, "non-psd", v.condition_ii_max_ratio))
     failures["positivity"] = viol

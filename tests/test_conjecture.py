@@ -161,3 +161,14 @@ def test_search_knobs_out_of_range_raise(knob):
     spec = EnsembleSpec(kind="integer-complex", dim=2, count=3, seed=1)
     with pytest.raises(InvalidSpec, match=next(iter(knob))):
         conjecture_search(spec, **knob)
+
+
+def test_ascend_iters_must_be_an_integer():
+    # read through operator.index, as EnsembleSpec reads its sizes
+    spec = EnsembleSpec(kind="integer-complex", dim=2, count=3, seed=1)
+    for value in (1.5, np.float64(1.0), "1"):
+        with pytest.raises(InvalidSpec, match="ascend_iters must be an integer"):
+            conjecture_search(spec, ascend_iters=value)
+    a, b = (conjecture_search(spec, ascend_iters=k) for k in (np.int64(1), 1))
+    assert (a.min_slack, a.trials) == (b.min_slack, b.trials)
+    assert a.argmin_matrix.tobytes() == b.argmin_matrix.tobytes()

@@ -3,8 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from opineq import EnsembleSpec, SUITE_NAMES, UnknownSuite, numerical_radius, run_suites
-from opineq import fuzz, radius
+from opineq import (
+    EnsembleSpec,
+    SUITE_NAMES,
+    UnknownSuite,
+    matrix_abs,
+    numerical_radius,
+    run_suites,
+)
+from opineq import fuzz, inequalities, radius
+from opineq.ensembles import trial_rng
 
 FUZZ_BOUNDS_SUITES = ("half-diff", "implicit", "beta-chain", "aluthge", "block-pair")
 
@@ -101,3 +109,32 @@ def test_radius_memo_is_closed_after_a_suite_raises(monkeypatch, kernel_calls):
     numerical_radius(np.eye(2))
     numerical_radius(np.eye(2))
     assert len(kernel_calls) == 2
+
+
+@pytest.mark.parametrize("mutant", [None, fuzz, inequalities], ids=["none", "pair", "mixed_schwarz"])
+def test_mixed_schwarz_suite_is_two_sided(monkeypatch, mutant):
+    # Swapping |T| and |T*| either in the corners of the suite's contraction
+    # (pair) or inside mixed_schwarz breaks equality at the extremal pair; the
+    # suite checks it from both sides, so it fails on every draw.
+    if mutant is not None:
+        monkeypatch.setattr(mutant, "matrix_abs", lambda M: matrix_abs(np.conj(M).T))
+    failed = []
+    for n in range(2, 7):
+        spec = EnsembleSpec(kind="gaussian-complex", dim=n, count=20, seed=50 + n)
+        for i in range(spec.count):
+            reports, _ = fuzz.SUITES["mixed-schwarz"](trial_rng(spec.seed, i), spec, i)
+            assert len(reports) == 18
+            failed.append(not all(r.holds for r in reports))
+    assert all(failed) if mutant else not any(failed)
+
+
+def test_majorization_suite_sees_range_inclusion_hold_and_fail():
+    spec = EnsembleSpec(kind="integer-complex", dim=3, count=8, seed=5)
+    in_range = []
+    for i in range(spec.count):
+        reports, inputs = fuzz.SUITES["majorization"](trial_rng(spec.seed, i), spec, i)
+        assert all(r.holds for r in reports)
+        if np.linalg.matrix_rank(inputs["S"]) < spec.dim:
+            in_range.append(reports[2].witness["range_residual"] <= reports[1].tol)
+    # indices 0 and 1: the contraction construction and a random T over a rank-deficient S
+    assert in_range == [True, False]

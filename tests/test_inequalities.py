@@ -65,7 +65,7 @@ def test_bound_report_default_tol_and_non_finite_sides():
 
 
 def test_block_positivity_boundary_psd():
-    v = block_positivity(np.eye(2), np.eye(2), np.eye(2), seed=1)
+    v = block_positivity(np.eye(2), np.eye(2), np.eye(2))
     assert v.is_psd
     assert v.min_eig == pytest.approx(0.0, abs=1e-12)
     assert v.condition_ii_max_ratio <= 1 + 1e-9
@@ -73,7 +73,7 @@ def test_block_positivity_boundary_psd():
 
 
 def test_block_positivity_violating_corner():
-    v = block_positivity(np.eye(2), np.eye(2), 2 * np.eye(2), seed=1)
+    v = block_positivity(np.eye(2), np.eye(2), 2 * np.eye(2))
     assert not v.is_psd
     assert v.min_eig == pytest.approx(-1.0, abs=1e-12)
     assert v.condition_ii_max_ratio == pytest.approx(4.0, abs=1e-6)
@@ -86,8 +86,8 @@ def test_block_positivity_ratio_is_scale_free(c):
     I2 = np.eye(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        psd = block_positivity(c * I2, c * I2, c * I2, seed=1)
-        non_psd = block_positivity(c * I2, c * I2, 1.5 * c * I2, seed=1)
+        psd = block_positivity(c * I2, c * I2, c * I2)
+        non_psd = block_positivity(c * I2, c * I2, 1.5 * c * I2)
     assert psd.is_psd and not non_psd.is_psd
     assert psd.condition_ii_max_ratio == pytest.approx(1.0, rel=1e-12)
     assert non_psd.condition_ii_max_ratio == pytest.approx(2.25, rel=1e-12)
@@ -96,25 +96,25 @@ def test_block_positivity_ratio_is_scale_free(c):
 
 def test_positivity_consistent():
     I2 = np.eye(2)
-    psd = block_positivity(I2, I2, 0.5 * I2, seed=1)
+    psd = block_positivity(I2, I2, 0.5 * I2)
     assert psd.is_psd and psd.consistent
-    non_psd = block_positivity(I2, I2, 2 * I2, seed=1)
+    non_psd = block_positivity(I2, I2, 2 * I2)
     assert not non_psd.is_psd and non_psd.consistent
     assert non_psd.psd_tol == pytest.approx(2e-9, rel=1e-12)
     # routes that disagree: a PSD verdict with a ratio above 1, and a
     # non-PSD verdict that neither the ratio nor the Schur route catches
-    assert not PositivityVerdict(True, 0.0, 0.0, 1.5, 1, 2e-9).consistent
-    assert not PositivityVerdict(False, -1.0, 0.0, 0.5, 1, 2e-9).consistent
+    assert not PositivityVerdict(True, 0.0, 0.0, 1.5, 2e-9).consistent
+    assert not PositivityVerdict(False, -1.0, 0.0, 0.5, 2e-9).consistent
     # the Schur route catches a non-PSD verdict only below -psd_tol
-    assert not PositivityVerdict(False, -1.0, -1e-9, 0.5, 1, 2e-9).consistent
-    assert PositivityVerdict(False, -1.0, -3e-9, 0.5, 1, 2e-9).consistent
+    assert not PositivityVerdict(False, -1.0, -1e-9, 0.5, 2e-9).consistent
+    assert PositivityVerdict(False, -1.0, -3e-9, 0.5, 2e-9).consistent
 
 
 def test_block_positivity_gram_ratio_below_one():
     for i in range(40):
         rng = trial_rng(7, i)
         A, B, C = gram_blocks(rng, int(rng.integers(1, 4)))
-        v = block_positivity(A, B, C, seed=i)
+        v = block_positivity(A, B, C)
         assert v.is_psd
         assert v.condition_ii_max_ratio <= 1 + 1e-7
 
@@ -132,7 +132,7 @@ def test_block_positivity_detects_non_psd():
             if float(np.linalg.eigvalsh((block + block.conj().T) / 2)[0]) < -1e-4 * scale:
                 break
             C = 2 * C
-        v = block_positivity(A, B, C, seed=i)
+        v = block_positivity(A, B, C)
         assert not v.is_psd
         assert v.consistent
 
@@ -151,9 +151,32 @@ def test_block_positivity_ratio_matches_cholesky_oracle():
         La, Lb = np.linalg.cholesky(A), np.linalg.cholesky(B)
         K = np.linalg.solve(Lb, np.linalg.solve(La, C.conj().T).conj().T)
         oracle = spectral_norm(K) ** 2
-        ratio = block_positivity(A, B, C, seed=i).condition_ii_max_ratio
-        assert ratio <= oracle * (1 + 1e-12)
-        assert ratio >= oracle * (1 - 1e-2)
+        ratio = block_positivity(A, B, C).condition_ii_max_ratio
+        assert ratio == pytest.approx(oracle, rel=1e-12)
+
+
+def test_random_pairs_never_exceed_the_exact_ratio():
+    # an independent lower-bound oracle: the supremum bounds every sampled pair
+    for i in range(20):
+        rng = trial_rng(13, i)
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        ga, gb = random_complex(rng, n), random_complex(rng, m)
+        A, B, C = ga.conj().T @ ga, gb.conj().T @ gb, random_complex(rng, m, n)
+        U, V = random_complex(rng, 500, n), random_complex(rng, 500, m)
+        num = np.abs(np.einsum("kj,kj->k", V.conj(), U @ C.T)) ** 2
+        den = np.einsum("ki,ki->k", U.conj(), U @ A.T).real * np.einsum("kj,kj->k", V.conj(), V @ B.T).real
+        ratio = block_positivity(A, B, C).condition_ii_max_ratio
+        assert np.max(num / den) <= ratio * (1 + 1e-12)
+
+
+def test_block_positivity_range_inclusion():
+    # a zero corner forces C = 0 on its side; otherwise the supremum is infinite
+    P = np.diag([1.0, 0.0])
+    assert block_positivity(P, P, np.diag([0.5, 0.0])).condition_ii_max_ratio == pytest.approx(0.25)
+    v = block_positivity(P, P, np.diag([0.5, 1e-3]))
+    assert v.condition_ii_max_ratio == math.inf and not v.is_psd and v.consistent
+    # a corner that is not PSD
+    assert block_positivity(-np.eye(2), np.eye(2), np.zeros((2, 2))).condition_ii_max_ratio == math.inf
 
 
 # ------------------------------------------------------------- majorization
@@ -162,16 +185,21 @@ def test_block_positivity_ratio_matches_cholesky_oracle():
 def test_majorization_equal_operators():
     rng = np.random.default_rng(1)
     S = random_complex(rng, 3)
-    one, two = majorization_equiv(S, S)
-    assert one.holds and two.holds
-    assert one.witness["premise_holds"] and two.witness["premise_holds"]
+    reports = majorization_equiv(S, S)
+    assert [r.name for r in reports] == ["majorization-order-to-contraction",
+                                         "majorization-order-to-range",
+                                         "majorization-contraction-to-order"]
+    assert all(r.holds and r.witness["premise_holds"] for r in reports)
+    # K = (S S*)^(-1/2) S is unitary
+    assert reports[0].lhs == pytest.approx(1.0, rel=1e-12)
 
 
 def test_majorization_zero_operator():
     rng = np.random.default_rng(2)
     S = random_complex(rng, 3)
-    one, two = majorization_equiv(np.zeros((3, 3)), S)
-    assert one.holds and two.holds
+    reports = majorization_equiv(np.zeros((3, 3)), S)
+    assert all(r.holds and r.witness["premise_holds"] for r in reports)
+    assert reports[0].lhs == 0.0
 
 
 def test_majorization_contraction_construction():
@@ -180,22 +208,36 @@ def test_majorization_contraction_construction():
         n = int(rng.integers(1, 5))
         S = random_complex(rng, n)
         D = np.diag(rng.uniform(0, 1, size=n)).astype(complex)
-        one, two = majorization_equiv(S @ D, S, seed=i)
-        assert one.witness["premise_holds"] and one.holds
-        assert two.witness["premise_holds"] and two.holds
+        reports = majorization_equiv(S @ D, S)
+        assert all(r.witness["premise_holds"] and r.holds for r in reports)
+        # ||K|| is the norm of Douglas's least-norm solution S^+ T = D
+        assert reports[0].lhs == pytest.approx(np.max(np.diag(D).real) ** 2, rel=1e-9)
+
+
+def test_majorization_range_inclusion():
+    S = np.diag([1.0, 0.0])
+    assert all(r.holds and r.witness["premise_holds"]
+               for r in majorization_equiv(np.diag([0.5, 0.0]), S))
+    # T leaves range(S): T T* <= S S* fails, and so does range inclusion
+    one, in_range, two = majorization_equiv(np.diag([0.5, 1e-3]), S)
+    assert not one.witness["premise_holds"] and not two.witness["premise_holds"]
+    assert two.witness["range_residual"] == pytest.approx(1e-3)
+    assert one.holds and in_range.holds and two.holds  # vacuously
 
 
 @pytest.mark.parametrize("c", [1e80, 1e100, 1e120])
-def test_majorization_ascent_is_scale_free(c):
-    # the ascent's norms of T T* - S S* reach c**4, beyond the float range
+def test_majorization_contraction_is_scale_free(c):
+    # S S* reaches c**2, and ||K|| = ||(S S*)^(-1/2) T|| is scale-free
     T = np.array([[1, 1], [0, 1]], dtype=complex)
     S = np.array([[2, 0], [1, 2]], dtype=complex)
-    unit = majorization_equiv(T, S)[1].witness["max_sq_diff"]
+    unit = majorization_equiv(T, S)[0].lhs
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, two = majorization_equiv(c * T, c * S)
-    assert two.witness["max_sq_diff"] / c**2 == pytest.approx(unit, rel=1e-12)
-    assert unit == pytest.approx(-(3 - math.sqrt(2)), rel=1e-12)
+        scaled = majorization_equiv(c * T, c * S)
+    assert all(r.holds and r.witness["premise_holds"] for r in scaled)
+    assert scaled[0].lhs == pytest.approx(unit, rel=1e-12)
+    oracle = np.linalg.eigvalsh(T.conj().T @ np.linalg.solve(S @ S.conj().T, T))[-1]
+    assert unit == pytest.approx(oracle, rel=1e-12)
 
 
 def test_majorization_beyond_the_float_range_raises():
@@ -210,10 +252,10 @@ def test_majorization_beyond_the_float_range_raises():
 def test_majorization_violating_pair_is_vacuous_both_ways():
     rng = np.random.default_rng(3)
     S = random_complex(rng, 3)
-    one, two = majorization_equiv(2 * S, S)
+    one, in_range, two = majorization_equiv(2 * S, S)
     assert not one.witness["premise_holds"]
     assert not two.witness["premise_holds"]
-    assert one.holds and two.holds  # vacuously
+    assert one.holds and in_range.holds and two.holds  # vacuously
 
 
 # ------------------------------------------------------- corner / compression

@@ -8,6 +8,7 @@ from opineq import (
     NotHermitian,
     NotPSD,
     block2,
+    contraction,
     fro_norm,
     herm_eig,
     matrix_abs,
@@ -145,6 +146,26 @@ def test_matrix_power_psd_multiplicative():
 def test_matrix_power_psd_rejects_indefinite():
     with pytest.raises(NotPSD):
         matrix_power_psd(np.diag([1.0, -1.0]), 0.5)
+
+
+def test_contraction_pair_and_range_residual():
+    rng = np.random.default_rng(21)
+    for n, m in [(1, 1), (2, 3), (4, 2)]:
+        ga, gb = random_complex(rng, n), random_complex(rng, m)
+        P, Q, X = ga.conj().T @ ga, gb.conj().T @ gb, random_complex(rng, m, n)
+        k = contraction(P, X, Q)
+        assert np.vdot(k.u, P @ k.u).real == pytest.approx(1.0, rel=1e-10)
+        assert np.vdot(k.v, Q @ k.v).real == pytest.approx(1.0, rel=1e-10)
+        assert np.vdot(k.v, X @ k.u) == pytest.approx(k.norm, rel=1e-10)
+        assert k.in_range and k.range_residual <= 1e-12 * spectral_norm(X)
+    # a zero corner leaves K empty: the pair is zero, and all of X is residual
+    k = contraction(np.zeros((2, 2)), np.ones((1, 2)), np.eye(1))
+    assert k.norm == 0.0 and not k.u.any() and not k.v.any()
+    assert k.range_residual == pytest.approx(math.sqrt(2)) and not k.in_range
+    with pytest.raises(NotPSD):
+        contraction(-np.eye(2), np.eye(2), np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        contraction(np.eye(2), np.eye(3), np.eye(2))
 
 
 def test_fro_norm_and_is_hermitian_at_extreme_scale():
