@@ -20,7 +20,7 @@ import numpy as np
 from . import radius
 from .ensembles import EnsembleSpec, _as_int, generate, trial_rng
 from .errors import InvalidSpec
-from .inequalities import _half_diff_matrices
+from .inequalities import _half_diff_plus_re
 from .linalg import as_matrix, spectral_norm
 from .radius import SweepConfig, numerical_radius
 
@@ -49,18 +49,17 @@ def half_diff_slack(T, cfg: SweepConfig | None = None, to_beat: float | None = N
     """w(T) - w(S) with S = (|T| - |T*|)/2 + i Re T; negative means counterexample.
 
     Without ``to_beat``: two ``numerical_radius`` calls (``cfg`` re-scores a witness on a finer
-    grid, as the benchmark's campaign check does at 5760).  With it, no radius call: if the level
-    test certifies w(S) < f - to_beat - 2 eta, f <= w(T) and eta from ``radius_floor``, then
-    to_beat + eta/2 < w_T - w_S, the exact slack, as w_S <= w(S) < w(T) - to_beat - 2 eta and,
-    where the kernel certifies w_T, w_T >= w(T) - margin_T > w(T) - 1.1 eta (f >= w(T) cos(pi/g));
+    grid, as the benchmark's campaign check does at 5760).  With it, no radius call: where
+    ``radius.gap_above`` certifies w(S) < f - to_beat - 2 eta (f <= w(T) its grid floor, eta its
+    margin), its to_beat + eta/2 < w_T - w_S, the exact slack, as w_S <= w(S) < w(T) - to_beat - 2 eta
+    and, where the kernel certifies w_T, w_T >= w(T) - margin_T > w(T) - 1.1 eta (f >= w(T) cos(pi/g));
     so ``slack < to_beat`` decides alike.  Else one stacked kernel call scores [T, S], bitwise."""
-    S = _half_diff_matrices(T)["plus-re"]
+    T = as_matrix(T)
+    S = _half_diff_plus_re(T[None])[0]
     if to_beat is None:
         return numerical_radius(T, cfg).omega - numerical_radius(S, cfg).omega
-    floor, eta = radius.radius_floor(T)
-    if radius.radius_below(S, floor - to_beat - 2.0 * eta):
-        return to_beat + eta / 2.0
-    return _stacked_slacks(as_matrix(T)[None], S[None], cfg or radius.DEFAULT_SWEEP)[0]
+    bound = radius.gap_above(T, S, to_beat)
+    return bound if bound is not None else _stacked_slacks(T[None], S[None], cfg or radius.DEFAULT_SWEEP)[0]
 
 
 def _stacked_slacks(T: np.ndarray, S: np.ndarray, cfg: SweepConfig) -> list[float]:
@@ -78,7 +77,7 @@ def _scan(spec: EnsembleSpec) -> Iterator[tuple[float, np.ndarray]]:
     chunk += islice(draws, size - 1)
     while chunk:
         T = np.stack(chunk)
-        yield from zip(_stacked_slacks(T, _half_diff_matrices(T)["plus-re"], sweep), chunk)
+        yield from zip(_stacked_slacks(T, _half_diff_plus_re(T), sweep), chunk)
         chunk = list(islice(draws, size))
 
 
@@ -104,8 +103,8 @@ def conjecture_search(spec: EnsembleSpec, ascend_iters: int = 10) -> ConjectureR
         step = 0.1 * max(spectral_norm(T), 1e-12)
         for round_idx in range(ascend_iters):
             rng = trial_rng(spec.seed, 2**32 + c_idx * 2**16 + round_idx)
-            for _ in range(PERTURBATIONS):
-                g = rng.normal(size=T.shape) + 1j * rng.normal(size=T.shape)
+            for re, im in rng.normal(size=(PERTURBATIONS, 2, *T.shape)):  # one call, the same stream
+                g = re + 1j * im
                 g_norm = float(np.linalg.norm(g))
                 if g_norm == 0.0:
                     continue
@@ -121,7 +120,7 @@ def conjecture_search(spec: EnsembleSpec, ascend_iters: int = 10) -> ConjectureR
     # would surface as a fake counterexample; a violation counts only
     # when the level-set test certifies both radii of the argmin.
     best_slack, best_T = min(finalists, key=lambda p: p[0])
-    pair = (best_T, _half_diff_matrices(best_T)["plus-re"])
+    pair = (best_T, _half_diff_plus_re(best_T[None])[0])
     certified = all(numerical_radius(M).certified for M in pair)
     scale = 1.0 + spectral_norm(best_T)
     return ConjectureResult(

@@ -293,23 +293,20 @@ def _sum_diff_omega(T: np.ndarray) -> tuple[float, float, float]:
     return spectral_norm(absT + absTs), spectral_norm(absT - absTs), _omega(T)
 
 
-def _half_diff_matrices(T) -> dict[str, np.ndarray]:
-    """(|T| - |T*|)/2 +/- i Re T and the Im T variants, keyed plus-re,
-    minus-re, plus-im and minus-im; of each matrix of a (k, n, n) stack."""
-    T = np.asarray(T)
-    M = (matrix_abs(T) - matrix_abs(T.conj().swapaxes(-1, -2))) / 2.0
-    reT, imT = re_im_parts(T)
-    return {
-        "plus-re": M + 1j * reT,
-        "minus-re": M - 1j * reT,
-        "plus-im": M + 1j * imT,
-        "minus-im": M - 1j * imT,
-    }
+def _half_diff_plus_re(T: np.ndarray) -> np.ndarray:
+    """(|T| - |T*|)/2 + i Re T, the half-difference question's S, of each matrix of the square
+    (k, n, n) stack T."""
+    Ts = _require_square(T).conj().swapaxes(-1, -2)
+    return (matrix_abs(T) - matrix_abs(Ts)) / 2.0 + 1j * ((T + Ts) / 2.0)
 
 
 def _half_diff_omegas(T: np.ndarray) -> dict[str, float]:
-    """The numerical radii of the four half-difference matrices."""
-    return {key: _omega(M) for key, M in _half_diff_matrices(T).items()}
+    """The numerical radii of (|T| - |T*|)/2 +/- i Re T and the Im T variants, keyed plus-re,
+    minus-re, plus-im and minus-im."""
+    M = (matrix_abs(T) - matrix_abs(T.conj().T)) / 2.0
+    reT, imT = re_im_parts(T)
+    return {"plus-re": _omega(M + 1j * reT), "minus-re": _omega(M - 1j * reT),
+            "plus-im": _omega(M + 1j * imT), "minus-im": _omega(M - 1j * imT)}
 
 
 def half_difference_reports(T) -> list[BoundReport]:

@@ -10,6 +10,7 @@ of lambda_max equals the sup of the norm (send theta to theta + pi).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from contextlib import contextmanager
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import trial_rng
-from .errors import InvalidSpec
+from .errors import InvalidSpec, NonFinite
 from .linalg import as_matrix, re_im_parts
 
 TWO_PI = 2.0 * math.pi
@@ -30,13 +31,13 @@ _ULPS4 = 4.0 * np.finfo(float).eps  # a bracket stops where |f'| <= _ULPS4 max |
 # Level-set test: relative level margin, unit-circle tolerance, Newton restarts,
 # and an irrational Moebius parameter (1/a is no root of structured inputs).
 _CERT_RTOL, _UNIMODULAR_TOL, _RESTARTS, _MOBIUS = 1e-9, 1e-6, 4, math.sqrt(2.0) - 1.0
+_HUGE = 2.0**1022  # an entry this large may overflow T +- T*; a quarter of any finite one is below
 
 __all__ = [
     "SweepConfig",
     "SweepResult",
+    "gap_above",
     "numerical_radius",
-    "radius_below",
-    "radius_floor",
     "rayleigh_radius",
 ]
 
@@ -164,28 +165,48 @@ def _angles_above(A, B, value, eta):
 def _scaled_parts(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Re T, Im T) of the (k, n, n) stack T, (k, 2, n, n), over power-of-two scales; the scales."""
     # Exact power-of-two scales keep f'' finite; parts divide apart (complex / subnormal overflows).
-    M = np.stack(re_im_parts(T), axis=1)
+    T = np.ascontiguousarray(T, dtype=np.complex128)
+    quarter = np.abs(T.view(float)).max(axis=(1, 2)) >= _HUGE  # T +- T* would overflow: quarter T, exactly
+    M = np.stack(re_im_parts(np.where(quarter[:, None, None], T * 0.25, T) if quarter.any() else T), axis=1)
     scale = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(1, 2, 3)))[1] - 1)
-    return (M.view(float) / scale[:, None, None, None]).view(complex), scale
+    M = (M.view(float) / scale[:, None, None, None]).view(complex)
+    if quarter.any():  # a quartered matrix's scale is 4x, inf only where w(T) >= 2**1024
+        with np.errstate(over="ignore"):
+            scale = np.where(quarter, 4.0 * scale, scale)
+    return M, scale
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(points: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(h, thetas, cos, sin) of the grid of ``points`` angles; cos and sin on [0, pi), (points/2, 1, 1)."""
+    h = TWO_PI / points
+    thetas = np.arange(points) * h
+    grid = thetas, np.cos(thetas[: points // 2, None, None]), np.sin(thetas[: points // 2, None, None])
+    for a in grid:
+        a.flags.writeable = False  # every caller shares them
+    return (h, *grid)
+
+
+def _vertex(th, h, lv, mv, rv):
+    """Vertex of the parabola through (th -/+ h, lv/rv) and (th, mv) where it bends down, else th."""
+    bend = lv - 2.0 * mv + rv
+    if isinstance(bend, float):
+        return th + 0.5 * h * ((lv - rv) / bend if bend < 0.0 else 0.0)
+    return th + 0.5 * h * np.divide(lv - rv, bend, out=np.zeros_like(bend), where=bend < 0.0)
 
 
 def _grid_start(M: np.ndarray, cfg: SweepConfig):
     """(t, lo, hi, top) per matrix of the (k, 2, n, n) scaled parts M: top is the largest grid
     value of f (the later angle on a tie) and t the vertex of the parabola through it and its
     neighbours lo, hi.  The grid is even and solves only [0, pi), as H(theta + pi) = -H(theta)."""
-    h = TWO_PI / cfg.grid_points
-    thetas = np.arange(cfg.grid_points) * h
-    half = thetas[: cfg.grid_points // 2]
-    c, s = np.cos(half)[:, None, None], np.sin(half)[:, None, None]
+    h, thetas, c, s = _grid(cfg.grid_points)
     lam = np.linalg.eigvalsh(c * M[:, 0, None] - s * M[:, 1, None])
     vals = np.concatenate([lam[..., -1], -lam[..., 0]], axis=1)
     own = np.arange(len(M))
     pick = cfg.grid_points - 1 - np.argmax(vals[:, ::-1], axis=1)  # largest; ties: the later angle
     th = thetas[pick]
     lv, mv, rv = vals[own, pick - 1], vals[own, pick], vals[own, (pick + 1) % cfg.grid_points]
-    bend = lv - 2.0 * mv + rv
-    vertex = np.divide(lv - rv, bend, out=np.zeros_like(bend), where=bend < 0.0)
-    return th + 0.5 * h * vertex, th - h, th + h, mv
+    return _vertex(th, h, lv, mv, rv), th - h, th + h, mv
 
 
 def _max_on_circle(T: np.ndarray, cfg: SweepConfig) -> list[SweepResult]:
@@ -211,31 +232,35 @@ def _max_on_circle(T: np.ndarray, cfg: SweepConfig) -> list[SweepResult]:
         certified[todo], own, t = _angles_above(*M[todo].swapaxes(0, 1), best[1][todo], eta[todo])
         own = todo[own]
     rows = zip(*(x.tolist() for x in (best[0], best[1], certified, eta, scale)), best[2])
-    return [SweepResult(w * s, t % TWO_PI, x, c, e * s if c else math.inf) for t, w, c, e, s, x in rows]
+    results = [SweepResult(w * s, t % TWO_PI, x, c, e * s if c else math.inf) for t, w, c, e, s, x in rows]
+    if not all(math.isfinite(r.omega) for r in results):
+        raise NonFinite("the numerical radius exceeds the float range")
+    return results
 
 
-def radius_floor(T) -> tuple[float, float]:
-    """(floor, eta) in input units: floor <= w(T), the larger of f's top grid value and f at the
-    grid parabola's vertex, is >= w(T) cos(pi/g) on g points; eta = _CERT_RTOL (1 + |floor|)."""
-    M, scale = _scaled_parts(as_matrix(T)[None])
-    (t,), _, _, (top,) = _grid_start(M, DEFAULT_SWEEP)
-    f = float(max(top, np.linalg.eigvalsh(math.cos(t) * M[0, 0] - math.sin(t) * M[0, 1])[-1]))
-    return f * float(scale[0]), _CERT_RTOL * (1.0 + abs(f)) * float(scale[0])
-
-
-def radius_below(T, level) -> bool:
-    """True only where w(T) < level is certified: f(0) lies below the band
-    f > level - eta/2 where the level-set test counts crossings, and it finds
-    none (f(0) is checked, as a constant f never crosses).  A non-finite level
-    or a failed eigensolve gives False."""
-    M, scale = _scaled_parts(as_matrix(T)[None])
-    r = float(level) / float(scale[0])  # a Python float division overflows to inf, silently
-    eta = _CERT_RTOL * (1.0 + abs(r))
+def gap_above(T, S, gap: float) -> float | None:
+    """gap + eta/2 where one level test certifies w(S) < floor - gap - 2 eta, else None (also for a
+    non-finite gap or level, or a failed eigensolve).  floor <= w(T) is the larger of f_T's largest
+    grid value and f_T at the grid parabola's vertex, >= w(T) cos(pi/g) on g points, and eta =
+    _CERT_RTOL (1 + |floor|), in input units; f_S(0) must lie below the band where the test counts
+    crossings, as a constant f never crosses.  T and S: complex (n, n) arrays, finite."""
+    M, scale = _scaled_parts(np.stack([T, S]))
+    (scale_t, scale_s), (h, thetas, c, s) = scale.tolist(), _grid(DEFAULT_SWEEP.grid_points)
     try:
-        return bool(math.isfinite(r) and np.linalg.eigvalsh(M[0, 0])[-1] < r - eta / 2.0
-                    and _angles_above(M[:, 0], M[:, 1], np.array([r - eta]), np.array([eta]))[0][0])
+        lam = np.linalg.eigvalsh(np.concatenate([c * M[0, 0] - s * M[0, 1], M[1:, 0]]))  # T's grid, S at 0
+        vals = lam[:-1, -1].tolist() + (-lam[:-1, 0]).tolist()
+        pick = len(vals) - 1 - vals[::-1].index(max(vals))  # as _grid_start picks
+        t = _vertex(thetas[pick], h, vals[pick - 1], vals[pick], vals[(pick + 1) % len(vals)])
+        f = max(vals[pick], float(np.linalg.eigvalsh(math.cos(t) * M[0, 0] - math.sin(t) * M[0, 1])[-1]))
+        eta = _CERT_RTOL * (1.0 + abs(f)) * scale_t
+        r = (f * scale_t - gap - 2.0 * eta) / scale_s  # a Python float division overflows to inf, silently
+        eta_s = _CERT_RTOL * (1.0 + abs(r))
+        if (math.isfinite(r) and lam[-1, -1] < r - eta_s / 2.0
+                and _angles_above(M[1:, 0], M[1:, 1], np.array([r - eta_s]), np.array([eta_s]))[0][0]):
+            return gap + eta / 2.0
     except np.linalg.LinAlgError:
-        return False
+        pass
+    return None
 
 
 def _fix_phase(x: np.ndarray) -> np.ndarray:

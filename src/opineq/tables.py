@@ -16,7 +16,7 @@ import numpy as np
 
 from .inequalities import (
     BoundReport,
-    _half_diff_matrices,
+    _half_diff_plus_re,
     aluthge_bound_reports,
     beta_chain_reports,
     radius_upper_reports,
@@ -91,8 +91,7 @@ def _named(report_fn, T) -> dict[str, BoundReport]:
 
 
 def _half_diff_columns(T):
-    plus_re = _half_diff_matrices(T)["plus-re"]
-    return numerical_radius(plus_re).omega, numerical_radius(T).omega
+    return numerical_radius(_half_diff_plus_re(T[None])[0]).omega, numerical_radius(T).omega
 
 
 def _upper_columns(T):

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -90,34 +91,49 @@ def test_slack_call_counts(monkeypatch, kernel_calls):
         return call
 
     monkeypatch.setattr(conjecture, "numerical_radius", counted("radius", conjecture.numerical_radius))
-    monkeypatch.setattr(radius, "radius_floor", counted("floor", radius.radius_floor))
-    monkeypatch.setattr(radius, "radius_below", counted("level", radius.radius_below))
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(radius, "gap_above", counted("pair", radius.gap_above))
+    for name in ("svd", "eigvalsh", "solve", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     T = np.array([[5 + 7j, 9 + 6j, 1], [5j, 10 + 3j, 2 - 1j], [3, 0, 4j]])
     exact = half_diff_slack(T)
-    assert counts == {"radius": 2, "svd": 2}
+    assert counts["radius"] == 2 and counts["svd"] == 2 and counts["pair"] == 0
     assert kernel_calls == [1, 1]
     # A descent trial makes no radius call.  One that beats to_beat is scored
     # as [T, S] in one stacked kernel call, bitwise as without to_beat.
     counts.clear()
     kernel_calls.clear()
     assert half_diff_slack(T, to_beat=exact + 1.0) == exact
-    assert counts == {"floor": 1, "level": 1, "svd": 2}
+    assert counts["radius"] == 0 and counts["pair"] == 1 and counts["svd"] == 2
     assert kernel_calls == [2]
-    # One that cannot is pruned: no kernel call, and a bound between to_beat and the slack.
+    # One that cannot is pruned: no kernel call, and a bound between to_beat and
+    # the slack.  The pair test solves T's grid and S at theta = 0 in one batch,
+    # T's parabola vertex in a second, and makes one level test (a solve and its
+    # companion eigvals; no root near the unit circle here, so no filter batch).
     counts.clear()
     kernel_calls.clear()
     to_beat = exact - 1.0
     assert to_beat < half_diff_slack(T, to_beat=to_beat) <= exact
-    assert counts == {"floor": 1, "level": 1, "svd": 2}
+    assert counts == {"pair": 1, "svd": 2, "eigvalsh": 2, "solve": 1, "eigvals": 1}
     assert kernel_calls == []
+
+
+def recording_pair_test(monkeypatch):
+    """Record whether each radius.gap_above call pruned its trial."""
+    pruned, pair = [], radius.gap_above
+
+    def recording(T, S, gap):
+        bound = pair(T, S, gap)
+        pruned.append(bound is not None)
+        return bound
+
+    monkeypatch.setattr(radius, "gap_above", recording)
+    return pruned
 
 
 def test_floor_prune_rejects_most_descent_trials(monkeypatch):
     # The grid floor of w(T) sits a little below w(T), so it prunes somewhat
     # fewer candidates than an exact level would; most must still go.
-    pruned, below = [], radius.radius_below
-    monkeypatch.setattr(radius, "radius_below", lambda T, level: pruned.append(below(T, level)) or pruned[-1])
+    pruned = recording_pair_test(monkeypatch)
     spec = EnsembleSpec(kind="integer-complex", dim=3, count=50, seed=1)
     conjecture_search(spec, ascend_iters=2)
     assert len(pruned) == 500
@@ -128,15 +144,37 @@ def test_floor_prune_rejects_most_descent_trials(monkeypatch):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_pruned_descent_equals_the_unpruned_run(monkeypatch, dim, kind):
     spec = EnsembleSpec(kind=kind, dim=dim, count=30, seed=11 + dim)
-    pruned, below = [], radius.radius_below
-    monkeypatch.setattr(radius, "radius_below", lambda T, level: pruned.append(below(T, level)) or pruned[-1])
+    pruned = recording_pair_test(monkeypatch)
     a = conjecture_search(spec, ascend_iters=1)
-    monkeypatch.setattr(radius, "radius_below", lambda T, level: False)
+    monkeypatch.setattr(radius, "gap_above", lambda T, S, gap: None)
     b = conjecture_search(spec, ascend_iters=1)
     assert a.min_slack.hex() == b.min_slack.hex()
     assert a.argmin_matrix.tobytes() == b.argmin_matrix.tobytes()
     assert a.trials == b.trials == 30 + 5 * 1 * 50
     assert len(pruned) == 250 and any(pruned)
+
+
+# Descent results recorded before the pair test and the one-call perturbation
+# draws: (dim, kind, min_slack.hex(), trials, SHA-256 of argmin_matrix.tobytes())
+# for seed 40 + dim, count 30 and ascend_iters=2.  Both changes had to keep
+# every accept decision, so every bit of the result.
+FROZEN_DESCENTS = [
+    (2, "integer-complex", "0x1.187f7f4000000p-23", 530, "0d683ffa55a363f51424539b303142de665c538e320cbe980f3c6690fa5a7963"),
+    (2, "gaussian-complex", "0x1.39d6f7d000000p-23", 530, "ca23cef3a681ab6ea6e69f785c253a41b78b985f42ce14a45e0c4383c54bc484"),
+    (3, "integer-complex", "-0x1.33c48c4758000p-10", 530, "f8f1df4fbdcd67332a759d6f554df62b05b8d6efe65f4ac4734d23ccd6c6bb42"),
+    (3, "gaussian-complex", "-0x1.6c6a036863800p-10", 530, "3c1d3fe50286620cd6d8cd0823b879b4992e0e1bb6666527e2528537687a5430"),
+    (4, "integer-complex", "-0x1.67f59944a0000p-12", 530, "172799302a04baa26c1ad2bff5c3ec116bea6823712278919a9b783db8c67a92"),
+    (4, "gaussian-complex", "-0x1.739aef344b800p-8", 530, "eb69f13adc999d26b69a22350734856aae561ca62c9bb6ee42e71ce3bbcd4921"),
+]
+
+
+@pytest.mark.parametrize("dim, kind, slack_hex, trials, digest",
+                         [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in FROZEN_DESCENTS])
+def test_descent_results_are_frozen(dim, kind, slack_hex, trials, digest):
+    result = conjecture_search(EnsembleSpec(kind=kind, dim=dim, count=30, seed=40 + dim), ascend_iters=2)
+    assert result.min_slack.hex() == slack_hex
+    assert result.trials == trials
+    assert hashlib.sha256(result.argmin_matrix.tobytes()).hexdigest() == digest
 
 
 def test_descent_makes_fewer_kernel_calls_than_trials(kernel_calls):

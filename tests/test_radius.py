@@ -124,6 +124,14 @@ def test_radius_homogeneity_at_extreme_scales():
         w = numerical_radius(T).omega
         for c in (1e-300, 1e-150, 1e150, 1e300):
             assert numerical_radius(c * T).omega == pytest.approx(c * w, rel=1e-12)
+    # Entries near overflow: T +- T* would overflow, so T is quartered first.
+    for T, w in ((np.diag([1e308, 1e308j]), 1e308), (np.array([[1e308, 1e308], [0.0, 1e308]]), 1.5e308)):
+        res = numerical_radius(T)
+        assert res.certified and res.omega == pytest.approx(w, rel=1e-12)
+        assert res.omega == 16.0 * numerical_radius(T / 16.0).omega
+        assert np.isfinite(res.witness).all()
+    with pytest.raises(NonFinite, match="float range"):  # w = 2e308
+        numerical_radius(np.full((2, 2), 1e308))
 
 
 def test_radius_attained_and_above_dense_grid():
@@ -549,32 +557,50 @@ def test_level_test_is_never_clear_below_the_radius(n, seed, grid, kind):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "shift", "rank-one", "S+S", "hermitian", "zero"]),
+       scale=st.sampled_from([1.0, 1e150, 1e-150]))
+def test_gap_above_is_a_certified_lower_bound_on_the_radius_gap(n, seed, kind, scale):
+    # Whenever the pair test returns b, gap < b <= w(T) - w(S) as the kernel computes
+    # them (the sweeps fixture checks that both are certified): so no gap at or above
+    # the kernel's w(T) - w(S) is ever returned.  Gaps well below it are, as the
+    # floor is within cos(pi/16) of w(T).
+    if kind == "hermitian":
+        G = random_complex(np.random.default_rng(seed), n)
+        T = scale * (G + G.conj().T)
+    else:
+        T = np.zeros((n, n)) if kind == "zero" else stack_member(kind, max(n, 2) if kind == "S+S" else n, seed, scale)
+    T = T.astype(complex)
+    S = 0.5 * scale * random_complex(np.random.default_rng(seed + 1), len(T))
+    w_t, w_s = numerical_radius(T).omega, numerical_radius(S).omega
+    exact = w_t - w_s
+    returned = []
+    for gap in (exact - 0.5 * w_t, exact - 0.01 * w_t, exact - 1e-6 * w_t, exact - 1e-12 * w_t, exact,
+                exact + 1e-12 * w_t, exact + w_t, -math.inf):
+        b = radius.gap_above(T, S, gap)
+        if b is not None:
+            assert gap < b <= exact
+            returned.append(gap)
+    if w_t > 0.0:
+        assert exact - 0.5 * w_t in returned
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["random", "shift", "rank-one", "S+S"]),
        scale=st.sampled_from([1.0, 1e150, 1e-150]))
 def test_radius_below_is_never_true_at_or_below_the_radius(n, seed, kind, scale):
-    # w >= omega, so no level <= omega may be certified; the certificate puts
-    # w below omega + margin, so omega + 2 margin must be.
-    T = stack_member(kind, max(n, 2) if kind == "S+S" else n, seed, scale)
-    res = numerical_radius(T)
+    # gap_above's level test on S, at level floor(T) - gap - 2 eta: T = t I, t = 2**k, is
+    # its own floor, with eta = 2 _CERT_RTOL t.  w(S) >= omega, so no level <= omega may be
+    # certified; the certificate puts w(S) below omega + margin, so omega + 2 margin must be.
+    S = stack_member(kind, max(n, 2) if kind == "S+S" else n, seed, scale).astype(complex)
+    res = numerical_radius(S)
     assert res.certified
     w = res.omega
+    t = 2.0 ** math.frexp(w)[1]
+    T, eta = t * np.eye(len(S), dtype=complex), 2.0 * radius._CERT_RTOL * t
     for level in (w, w * (1.0 - 1e-12), w / 2.0, -1.0):
-        assert not radius.radius_below(T, level)
-    assert radius.radius_below(T, w + 2.0 * res.margin)
-
-
-def test_radius_below_is_false_at_a_non_finite_level_or_a_failed_solve(monkeypatch):
-    T = np.array([[1.0, 2.0], [0.0, 1j]])
-    assert radius.radius_below(T, 10.0)
-    for level in (math.inf, -math.inf, math.nan):
-        assert not radius.radius_below(T, level)
-    assert not radius.radius_below(1e-300 * T, 1e300)  # the scaled level overflows
-
-    def failing(*args):
-        raise np.linalg.LinAlgError("no convergence")
-
-    monkeypatch.setattr(np.linalg, "eigvals", failing)
-    assert not radius.radius_below(T, 10.0)
+        assert radius.gap_above(T, S, t - 2.0 * eta - level) is None
+    assert radius.gap_above(T, S, t - 2.0 * eta - (w + 2.0 * res.margin)) is not None
 
 
 @settings(max_examples=60, deadline=None)
@@ -582,22 +608,43 @@ def test_radius_below_is_false_at_a_non_finite_level_or_a_failed_solve(monkeypat
        kind=st.sampled_from(["random", "shift", "rank-one", "hermitian", "zero"]),
        scale=st.sampled_from([1.0, 1e150, 1e-150]))
 def test_radius_floor_is_at_least_the_grid_maximum_and_at_most_the_radius(n, seed, kind, scale):
-    # Every candidate of the floor is a value of f, so at most w, which the
-    # certified omega is within rounding of; the grid maximum is one candidate.
+    # gap_above's floor, read through its level test on S = s I, s = 2**k > eta, where
+    # w(S) = f_S(0) = s: the test passes where floor - gap - 2 eta clears s by its margin,
+    # ~3 _CERT_RTOL s, and returns gap + eta/2.  Every candidate of the floor is a value
+    # of f, so at most w, which the certified omega is within rounding of; the grid
+    # maximum is one candidate.
     if kind == "hermitian":
         G = random_complex(np.random.default_rng(seed), n)
         T = scale * (G + G.conj().T)
     else:
         T = np.zeros((n, n)) if kind == "zero" else stack_member(kind, n, seed, scale)
-    floor, eta = radius.radius_floor(T)
+    T = T.astype(complex)
     res = numerical_radius(T)
     assert res.certified
-    assert floor <= res.omega * (1.0 + 1e-14)
+    s = 2.0 ** math.frexp(1e-8 * (np.abs(T).max() or 1.0))[1]  # eta <= 7e-9 max |T_ij|
+    S = s * np.eye(n, dtype=complex)
+    eta = 2.0 * (radius.gap_above(T, S, -4.0 * s) + 4.0 * s)
     A, B = re_im_parts(T)
     thetas = np.arange(radius.DEFAULT_SWEEP.grid_points) * (2 * math.pi / radius.DEFAULT_SWEEP.grid_points)
     grid = np.linalg.eigvalsh(np.cos(thetas)[:, None, None] * A - np.sin(thetas)[:, None, None] * B)[:, -1]
-    assert grid.max() * (1.0 - 1e-14) <= floor
-    assert 0.0 <= 1e-9 * floor <= eta
+    assert 0.0 <= 1e-9 * grid.max() <= eta < s
+    assert radius.gap_above(T, S, res.omega * (1.0 + 1e-14) - 2.0 * eta - s) is None
+    assert radius.gap_above(T, S, grid.max() * (1.0 - 1e-14) - 2.0 * eta - s * (1.0 + 1e-7)) is not None
+
+
+def test_gap_above_gives_none_at_a_non_finite_gap_an_overflowing_level_or_a_failed_solve(monkeypatch):
+    T = np.array([[1.0, 2.0], [0.0, 1j]])
+    S = 0.1 * T
+    assert radius.gap_above(T, S, 0.0) is not None
+    for gap in (math.inf, -math.inf, math.nan):
+        assert radius.gap_above(T, S, gap) is None
+    assert radius.gap_above(T, 1e-300 * S, -1e300) is None  # the scaled level overflows
+
+    def failing(*args):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    assert radius.gap_above(T, S, 0.0) is None
 
 
 def ellipse_radius(T):
