@@ -25,6 +25,7 @@ from .errors import (
     NotPSD,
 )
 from .linalg import (
+    _half_sum,
     _require_square,
     as_matrix,
     block2,
@@ -38,7 +39,7 @@ from .linalg import (
     re_im_parts,
     spectral_norm,
 )
-from .radius import numerical_radius
+from .radius import _radii, numerical_radius, radius_memo
 from .transforms import aluthge, polar
 
 __all__ = [
@@ -287,35 +288,43 @@ def _abs_pair(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return matrix_abs(T), matrix_abs(T.conj().T)
 
 
+def _abs_sum_norm(absT: np.ndarray, absTs: np.ndarray) -> float:
+    """s = ||(|T|+|T*|)||; NonFinite where |T| + |T*| leaves the float range."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(total := absT + absTs).all():
+            raise NonFinite("||(|T|+|T*|)|| exceeds the float range")
+    return spectral_norm(total)
+
+
 def _sum_diff_omega(T: np.ndarray) -> tuple[float, float, float]:
     """s = ||(|T|+|T*|)||, d = ||(|T|-|T*|)|| and w(T)."""
     absT, absTs = _abs_pair(T)
-    return spectral_norm(absT + absTs), spectral_norm(absT - absTs), _omega(T)
+    return _abs_sum_norm(absT, absTs), spectral_norm(absT - absTs), _omega(T)
 
 
 def _half_diff_plus_re(T: np.ndarray) -> np.ndarray:
     """(|T| - |T*|)/2 + i Re T, the half-difference question's S, of each matrix of the square
-    (k, n, n) stack T."""
+    (k, n, n) stack T; no entry overflows."""
     Ts = _require_square(T).conj().swapaxes(-1, -2)
-    return (matrix_abs(T) - matrix_abs(Ts)) / 2.0 + 1j * ((T + Ts) / 2.0)
+    return _half_sum(matrix_abs(T), matrix_abs(Ts), -1.0) + 1j * _half_sum(T, Ts)
 
 
-def _half_diff_omegas(T: np.ndarray) -> dict[str, float]:
+def _half_diff_omegas(T: np.ndarray, *also: np.ndarray) -> dict[str, float]:
     """The numerical radii of (|T| - |T*|)/2 +/- i Re T and the Im T variants, keyed plus-re,
-    minus-re, plus-im and minus-im."""
-    M = (matrix_abs(T) - matrix_abs(T.conj().T)) / 2.0
-    reT, imT = re_im_parts(T)
-    return {"plus-re": _omega(M + 1j * reT), "minus-re": _omega(M - 1j * reT),
-            "plus-im": _omega(M + 1j * imT), "minus-im": _omega(M - 1j * imT)}
+    minus-re, plus-im and minus-im; solved in one stack with the radii of ``also``."""
+    M, (reT, imT) = _half_sum(*_abs_pair(T), -1.0), re_im_parts(T)
+    mats = {"plus-re": M + 1j * reT, "minus-re": M - 1j * reT,
+            "plus-im": M + 1j * imT, "minus-im": M - 1j * imT}
+    with radius_memo():
+        _radii([*also, *mats.values()])  # one stack; each read below finds its result
+        return {key: _omega(X) for key, X in mats.items()}
 
 
 def half_difference_reports(T) -> list[BoundReport]:
     """w((|T|-|T*|)/2 +/- i Re T) and the Im variants against
     ||(|T|+|T*|)|| / 2, plus the ||Re T|| and ||Im T|| lower bounds."""
     T = as_matrix(T)
-    absT, absTs = _abs_pair(T)
-    rhs = spectral_norm(absT + absTs) / 2.0
-    reT, imT = re_im_parts(T)
+    rhs, (reT, imT) = _abs_sum_norm(*_abs_pair(T)) / 2.0, re_im_parts(T)
     omegas = _half_diff_omegas(T)
     return [
         *(BoundReport(name=f"half-diff-{key}", lhs=val, rhs=rhs) for key, val in omegas.items()),
@@ -365,10 +374,11 @@ def beta_chain_reports(T) -> list[BoundReport]:
     one has s = 2, d = 1, w = ||T|| = 1, so beta1 = (2 + sqrt 5)/4 > 1 = beta2.
     """
     T = as_matrix(T)
-    s, d, omega = _sum_diff_omega(T)
+    with radius_memo():
+        lhs = max(_half_diff_omegas(T, T).values())
+        s, d, omega = _sum_diff_omega(T)
     beta1 = (s + math.hypot(d, 2.0 * omega)) / 4.0
     beta2 = (spectral_norm(T) + omega) / 2.0
-    lhs = max(_half_diff_omegas(T).values())
     return [
         BoundReport(name="beta-chain-omegas-le-beta1", lhs=lhs, rhs=beta1),
         BoundReport(name="beta-chain-beta1-le-beta2", lhs=beta1, rhs=beta2),
@@ -397,10 +407,12 @@ def aluthge_bound_reports(T) -> list[BoundReport]:
     cross = absT @ tilde + tilde @ absT
     zero = np.zeros_like(tilde)
     corner_block = np.block([[zero, cross], [tilde_star @ tilde_star / 2.0, zero]])
-    bound1 = 0.5 * math.sqrt(base + 2.0 * _omega(corner_block)) / p
-    bound2 = 0.5 * math.sqrt(base + _omega(cross) + 0.5 * _omega(tilde @ tilde)) / p
-    omega = _omega(T)
-    mean_bound = 0.5 * (spectral_norm(T) + _omega(tilde) / p)
+    with radius_memo():
+        _radii([corner_block, cross, tilde @ tilde, T, tilde])  # one stack per shape
+        bound1 = 0.5 * math.sqrt(base + 2.0 * _omega(corner_block)) / p
+        bound2 = 0.5 * math.sqrt(base + _omega(cross) + 0.5 * _omega(tilde @ tilde)) / p
+        omega = _omega(T)
+        mean_bound = 0.5 * spectral_norm(T) + 0.5 * (_omega(tilde) / p)  # halved: the sum may overflow
     return [
         BoundReport(name="aluthge-bound-1", lhs=omega, rhs=bound1),
         BoundReport(name="aluthge-bound-2", lhs=omega, rhs=bound2),

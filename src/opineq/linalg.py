@@ -117,7 +117,7 @@ class SvdFactors:
         """|T| = V diag(sigma) V*, square of size cols(T)."""
         V = self.right
         R = (V * self.sigmas[..., None, :]) @ V.conj().swapaxes(-1, -2)
-        return (R + R.conj().swapaxes(-1, -2)) / 2.0
+        return _half_sum(R, R.conj().swapaxes(-1, -2))
 
 
 def herm_eig(H) -> HermEigen:
@@ -238,10 +238,17 @@ def contraction(P, X, Q) -> Contraction:
 
 def re_im_parts(T) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian parts (Re T, Im T) with T = Re T + 1j * Im T, of each matrix
-    of a (k, n, n) stack."""
+    of a (k, n, n) stack; no entry overflows."""
     T = _require_square(_as_stack(T))
     Ts = T.conj().swapaxes(-1, -2)
-    return (T + Ts) / 2.0, (T - Ts) / 2.0j
+    return _half_sum(T, Ts), _half_sum(T, Ts, -1.0, 1j)
+
+
+def _half_sum(X: np.ndarray, Y: np.ndarray, sign: float = 1.0, unit: complex = 1.0) -> np.ndarray:
+    """(X + sign Y) / (2 unit) of complex arrays, sign +-1, unit 1 or 1j, from exact halves that cannot
+    overflow: bitwise numpy's own in the normal range, as the closing complex division sets zero signs."""
+    h = np.ascontiguousarray(X).view(float) / 2.0 + np.ascontiguousarray(Y).view(float) / (2.0 * sign)
+    return h.view(complex) / unit
 
 
 def block2(A, c_star, C, B) -> np.ndarray:

@@ -31,7 +31,6 @@ _ULPS4 = 4.0 * np.finfo(float).eps  # a bracket stops where |f'| <= _ULPS4 max |
 # Level-set test: relative level margin, unit-circle tolerance, Newton restarts,
 # and an irrational Moebius parameter (1/a is no root of structured inputs).
 _CERT_RTOL, _UNIMODULAR_TOL, _RESTARTS, _MOBIUS = 1e-9, 1e-6, 4, math.sqrt(2.0) - 1.0
-_HUGE = 2.0**1022  # an entry this large may overflow T +- T*; a quarter of any finite one is below
 
 __all__ = [
     "SweepConfig",
@@ -165,15 +164,9 @@ def _angles_above(A, B, value, eta):
 def _scaled_parts(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Re T, Im T) of the (k, n, n) stack T, (k, 2, n, n), over power-of-two scales; the scales."""
     # Exact power-of-two scales keep f'' finite; parts divide apart (complex / subnormal overflows).
-    T = np.ascontiguousarray(T, dtype=np.complex128)
-    quarter = np.abs(T.view(float)).max(axis=(1, 2)) >= _HUGE  # T +- T* would overflow: quarter T, exactly
-    M = np.stack(re_im_parts(np.where(quarter[:, None, None], T * 0.25, T) if quarter.any() else T), axis=1)
+    M = np.stack(re_im_parts(T), axis=1)  # entries of Re T and Im T are at most w(T) in modulus
     scale = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(1, 2, 3)))[1] - 1)
-    M = (M.view(float) / scale[:, None, None, None]).view(complex)
-    if quarter.any():  # a quartered matrix's scale is 4x, inf only where w(T) >= 2**1024
-        with np.errstate(over="ignore"):
-            scale = np.where(quarter, 4.0 * scale, scale)
-    return M, scale
+    return (M.view(float) / scale[:, None, None, None]).view(complex), scale
 
 
 @functools.lru_cache(maxsize=8)
@@ -265,11 +258,8 @@ def gap_above(T, S, gap: float) -> float | None:
 
 def _fix_phase(x: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its largest component is real positive."""
-    k = int(np.argmax(np.abs(x)))
-    z = x[k]
-    if abs(z) == 0.0:
-        return x
-    return x * (abs(z) / z)
+    z = x[int(np.argmax(np.abs(x)))]
+    return x if abs(z) == 0.0 else x * (abs(z) / z)
 
 
 # numerical_radius results by (shape, complex128 bytes, cfg) while a radius_memo() block is open.
@@ -281,31 +271,36 @@ def radius_memo():
     """Within the block, numerical_radius computes each (matrix, cfg) once.
 
     A repeated call returns the stored result, whose witness is read-only.
-    Outside any block nothing is stored.
+    A block opened inside another joins it; outside any block nothing is stored.
     """
-    token = _MEMO.set({})
+    token = _MEMO.set({} if _MEMO.get() is None else _MEMO.get())
     try:
         yield
     finally:
         _MEMO.reset(token)
 
 
+def _radii(Ts, cfg: SweepConfig | None = None) -> list[SweepResult]:
+    """numerical_radius of each matrix of ``Ts``, bitwise: what the open radius_memo block lacks (all,
+    outside a block) is solved, each matrix once, in one kernel call per shape, and stored in the block."""
+    memo, cfg, keys, todo = _MEMO.get(), cfg or DEFAULT_SWEEP, [], {}
+    results = {} if memo is None else memo
+    for T in Ts:
+        T = np.asarray(T, dtype=np.complex128)  # as_matrix checks it, once, on a miss
+        keys.append((T.shape, T.tobytes(), cfg))
+        if keys[-1] not in results:
+            todo.setdefault(T.shape, {})[keys[-1]] = as_matrix(T)
+    for group in todo.values():
+        for key, r in zip(group, _max_on_circle(np.stack(list(group.values())), cfg)):
+            results[key] = SweepResult(r.omega, r.theta_star, _fix_phase(r.witness), r.certified, r.margin)
+            results[key].witness.flags.writeable = memo is None  # a hit cannot see a caller's mutation
+    return [results[key] for key in keys]
+
+
 def numerical_radius(T, cfg: SweepConfig | None = None) -> SweepResult:
     """Numerical radius by grid sweep, Newton refinement and the level-set certificate;
     ``cfg`` (default DEFAULT_SWEEP) stays for `opineq radius`'s 720-point start and re-scoring."""
-    cfg = cfg or DEFAULT_SWEEP
-    memo = _MEMO.get()
-    if memo is not None:
-        T = np.asarray(T, dtype=np.complex128)  # as_matrix checks it, once, on a miss
-        key = (T.shape, T.tobytes(), cfg)
-        if key in memo:
-            return memo[key]
-    r = _max_on_circle(as_matrix(T)[None], cfg)[0]
-    result = SweepResult(r.omega, r.theta_star, _fix_phase(r.witness), r.certified, r.margin)
-    if memo is not None:
-        result.witness.flags.writeable = False
-        memo[key] = result
-    return result
+    return _radii([T], cfg)[0]
 
 
 def rayleigh_radius(T, trials: int = 16, seed: int = 0) -> tuple[float, np.ndarray]:

@@ -94,7 +94,9 @@ def test_bounds_computes_each_radius_once(tmp_path, capsys, monkeypatch, kernel_
 
     monkeypatch.setattr(inequalities, "numerical_radius", counting)
     assert main(["bounds", str(path), "--suite", "half-diff,implicit,beta-chain,aluthge"]) in (0, 1)
-    assert (len(api), len(kernel_calls)) == (15, 9)
+    # 15 reads (6 of them repeats); the matrices a report needs are solved as one stack per shape:
+    # half-diff's four, implicit's w(T), then aluthge's 12x12 corner block and its three 6x6 radii
+    assert (len(api), kernel_calls) == (15, [4, 1, 1, 3])
     assert radius._MEMO.get() is None
 
 
@@ -289,6 +291,20 @@ def test_bounds_rejects_non_square_matrix(tmp_path, capsys):
     for suite in ("half-diff", "implicit", "beta-chain"):
         assert main(["bounds", str(rect), "--suite", suite]) == 2
         assert "square" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounds_near_overflow_names_the_norm_that_leaves_the_float_range(tmp_path, capsys):
+    # w(T) = 1e308 is finite, but ||(|T| + |T*|)|| = 2e308 is not; the input file is finite
+    path = tmp_path / "huge.json"
+    save_matrix(np.diag([1e308, 1e308j]), path)
+    for suite in ("half-diff", "implicit", "beta-chain"):
+        assert main(["bounds", str(path), "--suite", suite]) == 2
+        err = capsys.readouterr().err
+        assert "||(|T|+|T*|)|| exceeds the float range" in err and "entries must be finite" not in err
+    assert main(["bounds", str(path), "--suite", "aluthge", "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 3 and all(np.isfinite([r["lhs"], r["rhs"]]).all() for r in reports)
 
 
 def test_boolean_matrix_json_is_an_input_error(tmp_path, capsys):

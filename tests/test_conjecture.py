@@ -15,6 +15,12 @@ def test_slack_on_golden_matrix():
     assert half_diff_slack(T) > 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_slack_near_overflow():
+    # |T| + |T*| and T + T* would overflow; halved first, S = diag(1e308j, 0) and w(S) = w(T)
+    assert half_diff_slack(np.diag([1e308, 1e308j])) == 0.0
+
+
 def test_slack_hermitian_boundary():
     rng = np.random.default_rng(1)
     G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

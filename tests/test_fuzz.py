@@ -89,10 +89,12 @@ def test_suites_of_one_draw_share_each_radius(kernel_calls):
     spec = EnsembleSpec(kind="gaussian-complex", dim=6, count=2, seed=9001)
     for name in FUZZ_BOUNDS_SUITES:
         run_suites([name], spec)
-    assert len(kernel_calls) == 32
+    # matrices solved, and kernel calls: one stack per report and shape (aluthge: 12x12 and 6x6)
+    assert (sum(kernel_calls), len(kernel_calls)) == (32, 12)
     kernel_calls.clear()
     run_suites(FUZZ_BOUNDS_SUITES, spec)
-    assert len(kernel_calls) == 20
+    # per draw: half-diff's 4, implicit's w(T), aluthge's corner block and 3 more, block-pair's 1
+    assert (sum(kernel_calls), kernel_calls) == (20, [4, 1, 1, 3, 1] * 2)
 
 
 def test_radius_memo_is_closed_after_a_suite_raises(monkeypatch, kernel_calls):

@@ -124,7 +124,7 @@ def test_radius_homogeneity_at_extreme_scales():
         w = numerical_radius(T).omega
         for c in (1e-300, 1e-150, 1e150, 1e300):
             assert numerical_radius(c * T).omega == pytest.approx(c * w, rel=1e-12)
-    # Entries near overflow: T +- T* would overflow, so T is quartered first.
+    # Entries near overflow: T +- T* would overflow, so T is halved first.
     for T, w in ((np.diag([1e308, 1e308j]), 1e308), (np.array([[1e308, 1e308], [0.0, 1e308]]), 1.5e308)):
         res = numerical_radius(T)
         assert res.certified and res.omega == pytest.approx(w, rel=1e-12)
@@ -252,6 +252,41 @@ def test_radius_calls_outside_a_memo_block_share_nothing(kernel_calls):
         numerical_radius(T, cfg)
     numerical_radius(T, cfg)
     assert len(kernel_calls) == 4
+
+
+def test_radius_batch_equals_single_calls_bitwise(kernel_calls):
+    rng = np.random.default_rng(16)
+    mats = [random_complex(rng, n) for n in (3, 6, 3, 3, 6)] + [np.diag([1.0, 0.0, 0.0]), np.zeros((3, 3))]
+    singles = [numerical_radius(T) for T in mats]
+    kernel_calls.clear()
+    with radius.radius_memo():
+        batch = radius._radii(mats)
+        assert kernel_calls == [5, 2]  # one stack per shape, in first-seen order
+        assert all(numerical_radius(T) is r for T, r in zip(mats, batch))  # each read is a hit
+    assert len(kernel_calls) == 2
+    for b, r in zip(batch, singles):
+        assert (b.omega, b.theta_star, b.certified, b.margin) == (r.omega, r.theta_star, r.certified, r.margin)
+        assert b.witness.tobytes() == r.witness.tobytes()
+
+
+def test_radius_batch_solves_duplicates_once_freezes_stored_witnesses_and_joins_an_open_block(kernel_calls):
+    rng = np.random.default_rng(17)
+    T, S = random_complex(rng, 4), random_complex(rng, 4)
+    first, again, other = radius._radii([T, T.tolist(), S])  # duplicates: the same values
+    assert kernel_calls == [2] and first is again
+    assert first.witness.flags.writeable and radius._MEMO.get() is None  # outside a block: nothing kept
+    kernel_calls.clear()
+    with radius.radius_memo():
+        outer = radius._MEMO.get()
+        stored = numerical_radius(T)
+        with pytest.raises(ValueError):  # a hit cannot see a caller's mutation
+            stored.witness[0] = 0.0
+        with radius.radius_memo():  # joins: the inner block sees, and keeps, the outer results
+            assert radius._MEMO.get() is outer
+            assert radius._radii([T, S])[0] is stored
+        assert radius._MEMO.get() is outer and numerical_radius(S) is radius._radii([S])[0]
+    assert kernel_calls == [1, 1]
+    assert radius._MEMO.get() is None
 
 
 def test_non_square_raises_not_square():
